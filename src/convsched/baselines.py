@@ -25,8 +25,8 @@ from .model import (
     axis_full_extent, schedule_to_json, traffic, window_extent,
 )
 from .search import (
-    SearchResult, _HUGE, _build_tables, _compact_levels, _serialize_candidate,
-    _tile_vectors, precompute_requirements,
+    CrossCheckError, SearchResult, _HUGE, _build_tables, _compact_levels,
+    _serialize_candidate, _Staircase, _tile_vectors, precompute_requirements,
 )
 from .space import TilePolicy, enumerate_tiles, instantiate
 
@@ -237,9 +237,16 @@ def peemen_best(layer: LayerShape, budget: int,
     schedule, assignment = _peemen_embed(candidate, layer)
     report = _peemen_report(candidate, layer, budget)
     # The equivalent schedule in our own model can never cost more.
-    assert traffic(schedule, assignment).total <= report.total
-    if best is None:
-        assert not report.feasible
+    ours = traffic(schedule, assignment).total
+    if ours > report.total:
+        raise CrossCheckError(
+            f"{layer.name} at budget {budget}: the scalar model prices the "
+            f"Peemen {candidate.innermost} winner {candidate.tiles} at {ours} "
+            f"B, above its own {report.total} B")
+    if best is None and report.feasible:
+        raise CrossCheckError(
+            f"{layer.name} at budget {budget}: no Peemen candidate was found "
+            f"to fit, but the smallest buffer ({report.buffer_bytes} B) does")
     return SearchResult(layer_name=layer.name, budget=budget,
                         schedule=schedule, assignment=assignment,
                         report=report, candidates=candidates)
@@ -258,6 +265,11 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
     per outer trip.  The output charge doubles to accumulator round trips
     when an output-reuse carrier sits outside the localized space, and is
     a plain write at output precision otherwise.
+
+    Every ordering's (traffic, working set, spill) candidates go through
+    the search's staircase, so all budgets, in any order and repeats
+    included, cost about one; the tie-break is the search's.  Where no
+    working set fits, the smallest one is reported as infeasible.
     """
     if any(b <= 0 for b in budgets):
         raise ValidationError("budget must be positive")
@@ -268,7 +280,7 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
     distinct = layer.c_out * layer.out_h * layer.out_w
     final = layer.p_out * distinct
 
-    best: list[tuple | None] = [None] * len(budgets)
+    stairs = _Staircase(budgets)
     fallback = None
     candidates = 0
     for ordering in table.orderings:
@@ -296,54 +308,33 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
         floor = int(ws_f.min())
         fb_ids = np.flatnonzero(ws_f == floor)
         fb_i = int(fb_ids[int(tot_f[fb_ids].argmin())])
-        fb = (floor, int(tot_f[fb_i]), ordering, fb_i)
+        fb = (floor, int(tot_f[fb_i]), plan, fb_i)
         if fallback is None or fb[:2] < fallback[:2]:
             fallback = fb
 
-        # Budget-invariant past the unconstrained optimum's smallest buffer.
-        m1_inf = int(tot_f.min())
-        plateau = int(ws_f[tot_f == m1_inf].min())
-        plateau_key = None
+        def decode(flat, plan=plan):
+            k, t = divmod(flat, n_t)
+            tile = tuple(int(v[t]) for v in tiles)
+            serial = _serialize_candidate(plan.ordering, layer, *tile,
+                                          (k, k, k))
+            return serial, (plan, tile, k + 1)
 
-        for bidx, budget in enumerate(budgets):
-            if budget < floor:
-                continue
-            if budget >= plateau and plateau_key is not None:
-                key = plateau_key
-            else:
-                masked = np.where(ws_f <= budget, tot_f, _HUGE)
-                m1 = int(masked.min())
-                ids = np.flatnonzero(masked == m1)
-                sub = ws_f[ids]
-                ids = ids[sub == sub.min()]
-                sub = acc_f[ids]
-                ids = ids[sub == sub.min()]
-                key = None
-                for flat in ids:
-                    k = int(flat // n_t) + 1
-                    t = int(flat % n_t)
-                    tile = tuple(int(v[t]) for v in tiles)
-                    serial = _serialize_candidate(ordering, layer, *tile,
-                                                  (k - 1, k - 1, k - 1))
-                    ck = (m1, int(ws_f[flat]), int(acc_f[flat]), serial,
-                          ordering, tile, k)
-                    if key is None or ck[3] < key[3]:
-                        key = ck
-                if budget >= plateau:
-                    plateau_key = key
-            if best[bidx] is None or key[:4] < best[bidx][:4]:
-                best[bidx] = key
+        stairs.add(tot_f, ws_f, floor, acc_f.__getitem__, decode)
 
     out = []
-    for bidx, budget in enumerate(budgets):
-        if best[bidx] is not None:
-            ordering, tile, k = best[bidx][4:]
+    for budget, step in zip(budgets, stairs.winners):
+        if step is not None:
+            _, (plan, tile, k) = step.best()
         else:
-            _, _, ordering, flat = fallback
+            _, _, plan, flat = fallback
             k = int(flat // n_t) + 1
             tile = tuple(int(v[flat % n_t]) for v in tiles)
-        res = _cache_materialize(layer, budget, ordering, tile, k, candidates)
-        assert best[bidx] is not None or not res.report.feasible
+        res = _cache_materialize(layer, budget, plan, tile, k, candidates)
+        if step is None and res.report.feasible:
+            raise CrossCheckError(
+                f"{layer.name} at budget {budget}: no cache working set was "
+                f"found to fit, but the smallest one ({res.report.buffer_bytes}"
+                f" B) does")
         out.append(res)
     return out
 
@@ -354,11 +345,10 @@ def cache_best(layer: LayerShape, budget: int,
     return cache_results(layer, (budget,), policy)[0]
 
 
-def _cache_materialize(layer, budget, ordering, tile, k, candidates
+def _cache_materialize(layer, budget, plan, tile, k, candidates
                        ) -> SearchResult:
     mss, css, iss, jss = tile
     tiles_v = tuple(np.asarray([v], dtype=np.int64) for v in tile)
-    plan = precompute_requirements().plan(ordering)
     tabs = _build_tables(plan, layer, tiles_v)
     f_i, f_w, f_o = (int(tabs.ft[a][k][0]) for a in ("I", "W", "O"))
     trips = int(tabs.suffix[k - 1][0])
@@ -381,7 +371,7 @@ def _cache_materialize(layer, budget, ordering, tile, k, candidates
     )
     _, (li, lw, lo) = _compact_levels(layer, mss, css, iss, jss,
                                       (k - 1, k - 1, k - 1))
-    schedule = instantiate(ordering, Tiles(mss, css, iss, jss), layer)
+    schedule = instantiate(plan.ordering, Tiles(mss, css, iss, jss), layer)
     assignment = BufferingAssignment(li, lw, lo)
     return SearchResult(layer_name=layer.name, budget=budget,
                         schedule=schedule, assignment=assignment,

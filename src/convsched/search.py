@@ -8,8 +8,11 @@ buffering levels worth considering (raising a level between two carriers
 never changes the buffer but never increases traffic, so only the level
 just under each carrier, and the top, can win).  Step two evaluates that
 structure for a concrete layer over all tile choices with vectorized
-integer arithmetic, applies the budget, and reduces with a deterministic
-tie-break.
+integer arithmetic, then answers every budget at once from one staircase
+per ordering: the candidates sorted by buffer bytes with the running
+minimum of traffic, which searchsorted reads off at each budget.  Ties
+are broken deterministically (buffer bytes, spill bytes, then the
+canonical serialization), and only at the stairs some budget lands on.
 
 Every nest is laid out on ten fixed positions: the six tile-body loops of
 the ordering innermost-first, then controlling loops for SX, SY, IF, OF.
@@ -26,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -54,6 +58,10 @@ _O_DIMS = {Axis.SX, Axis.SY, Axis.OF}
 MODEL_ORDER = ("ours", "peemen", "cache", "hwc", "hwce", "ideal")
 
 TIE_BREAK_DEFAULT = "traffic,buffer,acc,serial"
+
+
+class CrossCheckError(RuntimeError):
+    """An engine answer disagrees with the scalar model that arbitrates it."""
 
 
 @dataclass(frozen=True)
@@ -344,68 +352,139 @@ class LayerEvaluation:
     candidates: int
 
 
-@dataclass(frozen=True)
-class _Winner:
+@dataclass(eq=False)
+class _Step:
+    """One stair of an ordering's staircase that some budget lands on.
+
+    Its candidates share the stair's traffic and the fewest buffer bytes
+    at that traffic, narrowed to the fewest spill bytes.  The canonical
+    serialization that breaks the last tie is computed once, on demand:
+    for the winner, or when another stair ties it on all three numbers.
+    """
+
     total: int
     buffer: int
     acc: int
-    serial: str
-    ordering: Ordering
-    tiles: tuple[int, int, int, int]
-    levels10: tuple[int, int, int]
+    ids: np.ndarray                        # flat candidate indices
+    decode: Callable[[int], tuple[str, object]]  # flat -> (serial, payload)
+    _best: tuple[str, object] | None = None
 
-    def key(self):
-        return (self.total, self.buffer, self.acc, self.serial)
-
-
-def _reduce_budget(st_flat, sb_flat, toacc, shape, budget, plan, layer,
-                   tiles, cand) -> _Winner | None:
-    """Staged minimization: traffic, then buffer, then spill bytes, then the
-    canonical serialization, over candidates whose buffers fit the budget."""
-    st_f = np.where(sb_flat <= budget, st_flat, _HUGE)
-    m1 = int(st_f.min())
-    if m1 >= _HUGE:
-        return None
-    idx = np.flatnonzero(st_f == m1)
-    sb_sub = sb_flat[idx]
-    m2 = int(sb_sub.min())
-    idx = idx[sb_sub == m2]
-
-    n_i, n_w, n_o, n_t = shape
-    ta_sub = toacc[(idx // n_t) % n_o, idx % n_t]
-    m3 = int(ta_sub.min())
-    idx = idx[ta_sub == m3]
-
-    mss_v, css_v, iss_v, jss_v = tiles
-    best = None
-    for flat in idx:
-        t = int(flat % n_t)
-        k = int((flat // n_t) % n_o)
-        j = int((flat // (n_t * n_o)) % n_w)
-        i = int(flat // (n_t * n_o * n_w))
-        tile = (int(mss_v[t]), int(css_v[t]), int(iss_v[t]), int(jss_v[t]))
-        lv = (cand["I"][i], cand["W"][j], cand["O"][k])
-        serial = _serialize_candidate(plan.ordering, layer, *tile, lv)
-        if best is None or serial < best[0]:
-            best = (serial, tile, lv)
-    serial, tile, lv = best
-    return _Winner(total=m1, buffer=m2, acc=m3, serial=serial,
-                   ordering=plan.ordering, tiles=tile, levels10=lv)
+    def best(self) -> tuple[str, object]:
+        """(serial, payload) of the least serialization among the ties."""
+        if self._best is None:
+            for flat in np.sort(self.ids).tolist():
+                serial, payload = self.decode(flat)
+                if self._best is None or serial < self._best[0]:
+                    self._best = (serial, payload)
+        return self._best
 
 
-def _materialize(winner: _Winner, layer: LayerShape, budget: int | None,
+class _Staircase:
+    """Per budget, the least (traffic, buffer, spill, serial) candidate.
+
+    Orderings are added one at a time.  Each ordering's candidates are
+    sorted by buffer bytes once; the running minimum of traffic along that
+    order is the ordering's best traffic at every budget, which
+    searchsorted reads off for all budgets together.  The winner at a
+    budget is the first candidate where the running minimum reaches its
+    value (the smallest buffer at that traffic); equal buffers sit
+    together, so the spill tie-break looks at one contiguous block.
+    Budgets may come in any order and may repeat.
+    """
+
+    def __init__(self, budgets: tuple[int, ...]):
+        self.budgets = np.asarray(budgets, dtype=np.int64)
+        self.key = np.full((3, self.budgets.size), _HUGE, dtype=np.int64)
+        self.win = np.full(self.budgets.size, -1, dtype=np.int64)
+        self.steps: list[_Step] = []  # every step that has led somewhere
+
+    @property
+    def winners(self) -> list[_Step | None]:
+        return [self.steps[w] if w >= 0 else None for w in self.win.tolist()]
+
+    def add(self, total: np.ndarray, buffer: np.ndarray, floor: int,
+            acc_of: Callable[[np.ndarray], np.ndarray],
+            decode: Callable[[int], tuple[str, object]]) -> np.ndarray:
+        """Merge one ordering's flat candidates; its best traffic per budget.
+
+        `floor` is the smallest buffer among them, `acc_of` maps flat
+        indices to spill bytes, `decode` one flat index to its canonical
+        serialization and whatever the caller needs to materialize it.
+        Returns -1 where none of its candidates fits.
+        """
+        budgets = self.budgets
+        reach = budgets[budgets >= floor]
+        if reach.size == 0:
+            return np.full(budgets.size, -1, dtype=np.int64)
+        # Nothing over the best traffic at the smallest budget that admits
+        # a candidate can win at any budget, and nothing over the largest
+        # budget fits anywhere.
+        ceiling = total[buffer <= reach.min()].min()
+        keep = np.flatnonzero(total <= ceiling)
+        keep = keep[buffer[keep] <= reach.max()]
+        order = keep[np.argsort(buffer[keep])]
+        sb, st = buffer[order], total[order]
+        run = np.minimum.accumulate(st)
+
+        fits = np.searchsorted(sb, budgets, side="right")
+        ok = fits > 0
+        best = np.full(budgets.size, -1, dtype=np.int64)
+        best[ok] = run[fits[ok] - 1]
+        first = np.searchsorted(-run, -best[ok], side="left")
+        heads, step_of = np.unique(first, return_inverse=True)
+
+        steps = []
+        for j in heads.tolist():
+            lo, hi = np.searchsorted(sb, (sb[j], sb[j] + 1))
+            ids = order[lo:hi][st[lo:hi] == st[j]]
+            acc = acc_of(ids)
+            steps.append(_Step(total=int(st[j]), buffer=int(sb[j]),
+                               acc=int(acc.min()), ids=ids[acc == acc.min()],
+                               decode=decode))
+
+        # Merge into the per-budget winners: lexicographic on the three
+        # numbers; where those tie, serializations decide, once per pair of
+        # steps rather than once per budget.
+        pick = np.full(budgets.size, -1, dtype=np.int64)
+        pick[ok] = step_of
+        key = np.full_like(self.key, _HUGE)
+        key[:, ok] = np.array([(s.total, s.buffer, s.acc) for s in steps],
+                              dtype=np.int64).T[:, step_of]
+        (t, b, a), (bt, bb, ba) = key, self.key
+        better = (t < bt) | ((t == bt) & ((b < bb) | ((b == bb) & (a < ba))))
+        tied = ok & (t == bt) & (b == bb) & (a == ba)
+        if tied.any():
+            pairs, inv = np.unique(pick[tied] * len(self.steps) + self.win[tied],
+                                   return_inverse=True)
+            wins = [steps[s].best()[0] < self.steps[w].best()[0]
+                    for s, w in (divmod(p, len(self.steps))
+                                 for p in pairs.tolist())]
+            better[tied] = np.asarray(wins)[inv]
+        if better.any():
+            local, inv = np.unique(pick[better], return_inverse=True)
+            self.win[better] = len(self.steps) + inv
+            self.steps.extend(steps[s] for s in local.tolist())
+            self.key[:, better] = key[:, better]
+        return best
+
+
+def _materialize(step: _Step, layer: LayerShape, budget: int | None,
                  candidates: int) -> SearchResult:
-    mss, css, iss, jss = winner.tiles
-    _, (li, lw, lo) = _compact_levels(layer, mss, css, iss, jss,
-                                      winner.levels10)
-    schedule = instantiate(winner.ordering, Tiles(mss, css, iss, jss), layer)
+    serial, (ordering, tiles, levels10) = step.best()
+    mss, css, iss, jss = tiles
+    _, (li, lw, lo) = _compact_levels(layer, mss, css, iss, jss, levels10)
+    schedule = instantiate(ordering, Tiles(mss, css, iss, jss), layer)
     assignment = BufferingAssignment(level_i=li, level_w=lw, level_o=lo)
     report = traffic(schedule, assignment, budget)
     # The scalar model arbitrates: the engine must agree exactly.
-    assert report.total == winner.total, (report.total, winner.total)
-    assert report.buffer_bytes == winner.buffer
-    assert report.t_o_acc == winner.acc
-    assert schedule_to_json(schedule, assignment) == winner.serial
+    scalar = (report.total, report.buffer_bytes, report.t_o_acc,
+              schedule_to_json(schedule, assignment))
+    engine = (step.total, step.buffer, step.acc, serial)
+    if scalar != engine:
+        raise CrossCheckError(
+            f"{layer.name} at budget {budget}: the scalar model prices the "
+            f"engine's winner as (total, buffer, spill, serial) = {scalar}, "
+            f"the engine as {engine}")
     return SearchResult(layer_name=layer.name, budget=budget,
                         schedule=schedule, assignment=assignment,
                         report=report, candidates=candidates)
@@ -417,7 +496,16 @@ def evaluate_layer(layer: LayerShape,
                    prune: bool = True,
                    orderings: tuple[Ordering, ...] | None = None
                    ) -> LayerEvaluation:
-    """Exhaustive search over the full space, all budgets in one pass."""
+    """Exhaustive search over the full space, all budgets in one pass.
+
+    Each ordering's candidates go through one staircase (see _Staircase),
+    so the cost barely grows with the number of budgets.  Per budget the
+    winner has the least traffic among candidates whose buffer fits, then
+    the fewest buffer bytes, spill bytes and the least canonical
+    serialization; `ordering_best` holds each ordering's least traffic
+    per budget.  Budgets need not be sorted or unique.  Where nothing
+    fits, the smallest-buffer candidate is reported as infeasible.
+    """
     policy = policy or TilePolicy()
     table = precompute_requirements(orderings, prune)
     orderings = table.orderings
@@ -425,11 +513,10 @@ def evaluate_layer(layer: LayerShape,
     tiles = _tile_vectors(menus)
     ideal = ideal_traffic(layer)
 
-    n_budgets = len(budgets)
-    ordering_best = np.full((len(orderings), n_budgets), -1, dtype=np.int64)
-    winners: list[_Winner | None] = [None] * n_budgets
+    stairs = _Staircase(budgets)
+    ordering_best = np.full((len(orderings), len(budgets)), -1, dtype=np.int64)
     fallback: tuple | None = None  # smallest-buffer candidate overall
-    min_ideal_sb = None
+    min_ideal_sb = _HUGE
     candidates = 0
 
     for oi, ordering in enumerate(orderings):
@@ -442,10 +529,10 @@ def evaluate_layer(layer: LayerShape,
 
         distinct = layer.c_out * layer.out_h * layer.out_w
         toacc = _o_acc_table(tabs, plan, layer)
-        st = (layer.p_in * ti)[:, None, None, :] \
+        # The constant output write joins the smallest operand.
+        st = (layer.p_in * ti + layer.p_out * distinct)[:, None, None, :] \
             + (layer.p_w * tw)[None, :, None, :] \
-            + toacc[None, None, :, :] \
-            + layer.p_out * distinct
+            + toacc[None, None, :, :]
         sb = (layer.p_in * bi)[:, None, None, :] \
             + (layer.p_w * bw)[None, :, None, :] \
             + (layer.p_acc * bo)[None, None, :, :]
@@ -453,50 +540,37 @@ def evaluate_layer(layer: LayerShape,
         st_flat, sb_flat = st.reshape(-1), sb.reshape(-1)
         candidates += st_flat.size
 
-        ideal_sb = np.where(st_flat == ideal, sb_flat, _HUGE).min()
-        if min_ideal_sb is None or ideal_sb < min_ideal_sb:
-            min_ideal_sb = int(ideal_sb)
+        at_ideal = sb_flat[st_flat == ideal]
+        if at_ideal.size:
+            min_ideal_sb = min(min_ideal_sb, int(at_ideal.min()))
 
         flat = int(sb_flat.argmin())
-        sb_floor = int(sb_flat[flat])
-        fb = (sb_floor, int(st_flat[flat]), oi, flat)
+        floor = int(sb_flat[flat])
+        fb = (floor, int(st_flat[flat]), oi, flat)
         if fallback is None or fb[:2] < fallback[:2]:
             fallback = fb
 
-        # Past the point where the unconstrained optimum fits, winner and
-        # tie-break are budget-invariant: every newly admitted candidate has
-        # a strictly larger buffer than the stage-two minimum.
-        m1_inf = int(st_flat.min())
-        plateau = int(sb_flat[st_flat == m1_inf].min())
-        plateau_winner: _Winner | None = None
+        def acc_of(ids, toacc=toacc, n_t=shape[3], n_o=shape[2]):
+            return toacc[(ids // n_t) % n_o, ids % n_t]
 
-        for bidx, budget in enumerate(budgets):
-            if budget < sb_floor:
-                continue
-            if budget >= plateau:
-                if plateau_winner is None:
-                    plateau_winner = _reduce_budget(
-                        st_flat, sb_flat, toacc, shape, budget, plan, layer,
-                        tiles, cand)
-                winner = plateau_winner
-            else:
-                winner = _reduce_budget(st_flat, sb_flat, toacc, shape,
-                                        budget, plan, layer, tiles, cand)
-            if winner is None:
-                continue
-            ordering_best[oi, bidx] = winner.total
-            cur = winners[bidx]
-            if cur is None or winner.key() < cur.key():
-                winners[bidx] = winner
+        def decode(flat, ordering=ordering, cand=cand, shape=shape):
+            i, j, k, t = np.unravel_index(flat, shape)
+            tile = tuple(int(v[t]) for v in tiles)
+            lv = (cand["I"][i], cand["W"][j], cand["O"][k])
+            serial = _serialize_candidate(ordering, layer, *tile, lv)
+            return serial, (ordering, tile, lv)
+
+        ordering_best[oi] = stairs.add(st_flat, sb_flat, floor, acc_of,
+                                       decode)
 
     results = []
-    for bidx, budget in enumerate(budgets):
-        if winners[bidx] is not None:
-            results.append(_materialize(winners[bidx], layer, budget, candidates))
+    for budget, step in zip(budgets, stairs.winners):
+        if step is not None:
+            results.append(_materialize(step, layer, budget, candidates))
         else:
             results.append(_materialize_fallback(fallback, table, layer,
                                                  budget, tiles, candidates))
-    if min_ideal_sb is None or min_ideal_sb >= _HUGE:
+    if min_ideal_sb >= _HUGE:
         min_ideal_sb = -1  # explicit tile menus can exclude the untiled nest
     return LayerEvaluation(
         layer=layer, budgets=tuple(budgets), results=tuple(results),
@@ -520,7 +594,11 @@ def _materialize_fallback(fallback, table, layer, budget, tiles, candidates
     schedule = instantiate(ordering, Tiles(mss, css, iss, jss), layer)
     assignment = BufferingAssignment(li, lw, lo)
     report = traffic(schedule, assignment, budget)
-    assert not report.feasible
+    if report.feasible:
+        raise CrossCheckError(
+            f"{layer.name} at budget {budget}: the engine found nothing that "
+            f"fits, but the scalar model fits its smallest buffer "
+            f"({report.buffer_bytes} B)")
     return SearchResult(layer_name=layer.name, budget=budget,
                         schedule=schedule, assignment=assignment,
                         report=report, candidates=candidates)
@@ -641,8 +719,8 @@ def _sweep_task(args) -> list[tuple[TrafficReport | None, str | None, int]]:
                 for b in budgets]
     if model == "cache":
         from . import baselines
-        return [_result_row(baselines.cache_best(layer, b, policy))
-                for b in budgets]
+        return [_result_row(r)
+                for r in baselines.cache_results(layer, budgets, policy)]
     if model == "hwc":
         from . import casestudy
         out = []
@@ -774,7 +852,11 @@ def distribution_from(evaluations: list[LayerEvaluation]) -> DistributionTable:
         agg = np.zeros(n_ord, dtype=np.int64)
         broken = np.zeros(n_ord, dtype=bool)
         for ev in evaluations:
-            assert ev.budgets == budgets and len(ev.orderings) == n_ord
+            if ev.budgets != budgets or len(ev.orderings) != n_ord:
+                raise ValidationError(
+                    f"{ev.layer.name} was evaluated at budgets {ev.budgets} "
+                    f"over {len(ev.orderings)} orderings, the first layer at "
+                    f"{budgets} over {n_ord}")
             col = ev.ordering_best[:, bidx]
             broken |= col < 0
             agg += np.where(col < 0, 0, col)

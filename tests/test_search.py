@@ -9,6 +9,10 @@ schedule.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,9 @@ from convsched import (
     Tiles,
     ValidationError,
     best_schedule,
+    cache_best,
+    cache_results,
+    distribution_from,
     enumerate_permutations,
     evaluate_layer,
     evaluate_layers,
@@ -230,3 +237,100 @@ def test_results_independent_of_worker_count(monkeypatch):
     monkeypatch.setenv("CONVSCHED_THREADS", "2")
     parallel = snapshot()
     assert serial == parallel
+
+
+def _outcome(res):
+    return res.report, schedule_to_json(res.schedule, res.assignment)
+
+
+def _step_edges(results):
+    """Every winner's buffer and one byte less, one byte below the smallest
+    buffer (results[0] is at budget 1, where nothing fits) and a budget
+    past the plateau."""
+    stairs = {r.report.buffer_bytes for r in results if r.feasible}
+    assert not results[0].feasible
+    return tuple(sorted(stairs | {s - 1 for s in stairs}
+                        | {results[0].report.buffer_bytes - 1,
+                           max(stairs) + 1000}))
+
+
+def test_one_multi_budget_call_matches_single_calls_at_step_edges():
+    # The staircase answers every budget at once; at each stair edge, just
+    # below it, below every buffer and past the plateau it must pick what
+    # a search at that budget alone picks.
+    layer = LayerShape(name="micro", out_h=4, out_w=4, k_h=2, k_w=2,
+                       stride=1, c_in=2, c_out=2)
+    menus = {Axis.OF: (2,), Axis.IF: (2,), Axis.SY: (4,), Axis.SX: (4,)}
+    policy = TilePolicy(mode="explicit", explicit=menus)
+    # No candidate buffers more than the three whole arrays, 194 bytes.
+    dense = tuple(range(1, 257))
+
+    budgets = _step_edges(evaluate_layer(layer, dense, policy=policy).results)
+    ev = evaluate_layer(layer, budgets, policy=policy)
+    for bidx, budget in enumerate(budgets):
+        one = evaluate_layer(layer, (budget,), policy=policy)
+        assert _outcome(ev.results[bidx]) == _outcome(one.results[0])
+        assert (ev.ordering_best[:, bidx] == one.ordering_best[:, 0]).all()
+
+    budgets = _step_edges(cache_results(layer, dense, policy))
+    multi = cache_results(layer, budgets, policy)
+    for res, budget in zip(multi, budgets):
+        assert _outcome(res) == _outcome(cache_best(layer, budget, policy))
+
+
+def test_budget_order_and_repeats_do_not_change_answers():
+    tiny = make_tiny()
+    ordered = (64, 96, 128, 256, 512, 1024)
+    shuffled = (256, 64, 1024, 128, 512, 96, 128)
+    ref = evaluate_layer(tiny, ordered)
+    ev = evaluate_layer(tiny, shuffled)
+    ref_cache = cache_results(tiny, ordered)
+    got_cache = cache_results(tiny, shuffled)
+    for bidx, budget in enumerate(shuffled):
+        r = ordered.index(budget)
+        assert ev.results[bidx].budget == budget
+        assert _outcome(ev.results[bidx]) == _outcome(ref.results[r])
+        assert (ev.ordering_best[:, bidx] == ref.ordering_best[:, r]).all()
+        assert _outcome(got_cache[bidx]) == _outcome(ref_cache[r])
+
+
+def test_distribution_from_rejects_mismatched_budgets():
+    tiny = make_tiny()
+    evs = [evaluate_layer(tiny, (256,)), evaluate_layer(tiny, (512,))]
+    with pytest.raises(ValidationError):
+        distribution_from(evs)
+
+
+def test_cross_check_raises_under_python_O():
+    # `python -O` strips assert statements; the check that the scalar model
+    # prices the engine's winner as the engine did must still fire.
+    script = textwrap.dedent("""
+        import dataclasses, sys
+        from convsched import LayerShape, search
+        if __debug__:
+            sys.exit("not running under -O")
+        real = search.traffic
+
+        def off_by_one(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            return dataclasses.replace(rep, t_in=rep.t_in + 1,
+                                       total=rep.total + 1)
+
+        search.traffic = off_by_one
+        layer = LayerShape(name="tiny", out_h=6, out_w=6, k_h=3, k_w=3,
+                           stride=1, c_in=2, c_out=4)
+        try:
+            search.evaluate_layer(layer, (256,))
+        except search.CrossCheckError as e:
+            print(e)
+        else:
+            sys.exit("no CrossCheckError")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "tiny at budget 256" in done.stdout
