@@ -25,8 +25,9 @@ from .model import (
     axis_full_extent, schedule_to_json, traffic, window_extent,
 )
 from .search import (
-    CrossCheckError, SearchResult, _HUGE, _build_tables, _compact_levels,
-    _serialize_candidate, _Staircase, _tile_vectors, precompute_requirements,
+    CrossCheckError, SearchResult, _HUGE, _build_tables, _check_int64_range,
+    _compact_levels, _compact_table, _layer_extents, _serialize_candidate,
+    _Staircase, _tile_vectors, precompute_requirements,
 )
 from .space import TilePolicy, enumerate_tiles, instantiate
 
@@ -275,33 +276,22 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
         raise ValidationError("budget must be positive")
     table = precompute_requirements()
     menus = enumerate_tiles(layer, policy or TilePolicy())
+    _check_int64_range(layer, menus)
     tiles = _tile_vectors(menus)
+    extents = _layer_extents(layer, tiles)
+    compact = _compact_table(extents)
     n_t = tiles[0].size
-    distinct = layer.c_out * layer.out_h * layer.out_w
-    final = layer.p_out * distinct
+
+    def levels_of(ids):
+        c = compact[divmod(ids, n_t)]
+        return np.stack([c, c, c])
 
     stairs = _Staircase(budgets)
     fallback = None
     candidates = 0
     for ordering in table.orderings:
         plan = table.plan(ordering)
-        tabs = _build_tables(plan, layer, tiles)
-        ws = np.empty((10, n_t), dtype=np.int64)
-        tot = np.empty((10, n_t), dtype=np.int64)
-        acc = np.empty((10, n_t), dtype=np.int64)
-        for k in range(1, 11):
-            f_i, f_w, f_o = (tabs.ft[a][k] for a in ("I", "W", "O"))
-            trips = tabs.suffix[k - 1]
-            visits = f_o * trips
-            interrupted = np.zeros(n_t, dtype=bool)
-            for p, mask in tabs.carrier_masks["O"]:
-                if p >= k:
-                    interrupted |= mask
-            o_bytes = np.where(interrupted, 2 * layer.p_acc * visits,
-                               layer.p_out * visits)
-            ws[k - 1] = layer.p_in * f_i + layer.p_w * f_w + layer.p_acc * f_o
-            tot[k - 1] = (layer.p_in * f_i + layer.p_w * f_w) * trips + o_bytes
-            acc[k - 1] = o_bytes - final
+        ws, tot, acc = _cache_tables(plan, layer, extents)
         candidates += ws.size
         ws_f, tot_f, acc_f = ws.reshape(-1), tot.reshape(-1), acc.reshape(-1)
 
@@ -319,7 +309,7 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
                                           (k, k, k))
             return serial, (plan, tile, k + 1)
 
-        stairs.add(tot_f, ws_f, floor, acc_f.__getitem__, decode)
+        stairs.add(tot_f, ws_f, floor, acc_f.__getitem__, levels_of, decode)
 
     out = []
     for budget, step in zip(budgets, stairs.winners):
@@ -339,6 +329,34 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
     return out
 
 
+def _cache_tables(plan, layer: LayerShape, extents: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(working set, traffic, spill) bytes of one ordering, each (10, T).
+
+    Row k - 1 localizes the k innermost of the ten uniform positions.
+    """
+    tabs = _build_tables(plan, layer, extents)
+    n_t = extents.shape[1]
+    final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
+    ws = np.empty((10, n_t), dtype=np.int64)
+    tot = np.empty((10, n_t), dtype=np.int64)
+    acc = np.empty((10, n_t), dtype=np.int64)
+    for k in range(1, 11):
+        f_i, f_w, f_o = (tabs.ft[a][k] for a in ("I", "W", "O"))
+        trips = tabs.suffix[k - 1]
+        visits = f_o * trips
+        interrupted = np.zeros(n_t, dtype=bool)
+        for p, mask in tabs.carrier_masks["O"]:
+            if p >= k:
+                interrupted |= mask
+        o_bytes = np.where(interrupted, 2 * layer.p_acc * visits,
+                           layer.p_out * visits)
+        ws[k - 1] = layer.p_in * f_i + layer.p_w * f_w + layer.p_acc * f_o
+        tot[k - 1] = (layer.p_in * f_i + layer.p_w * f_w) * trips + o_bytes
+        acc[k - 1] = o_bytes - final
+    return ws, tot, acc
+
+
 def cache_best(layer: LayerShape, budget: int,
                policy: TilePolicy | None = None) -> SearchResult:
     """Best cache-model schedule for one budget; see cache_results."""
@@ -349,7 +367,7 @@ def _cache_materialize(layer, budget, plan, tile, k, candidates
                        ) -> SearchResult:
     mss, css, iss, jss = tile
     tiles_v = tuple(np.asarray([v], dtype=np.int64) for v in tile)
-    tabs = _build_tables(plan, layer, tiles_v)
+    tabs = _build_tables(plan, layer, _layer_extents(layer, tiles_v))
     f_i, f_w, f_o = (int(tabs.ft[a][k][0]) for a in ("I", "W", "O"))
     trips = int(tabs.suffix[k - 1][0])
     distinct = layer.c_out * layer.out_h * layer.out_w

@@ -209,7 +209,11 @@ class TrafficReport:
     feasible: bool
 
     def __post_init__(self) -> None:
-        assert self.total == self.t_in + self.t_w + self.t_o_acc + self.t_o_final
+        parts = self.t_in + self.t_w + self.t_o_acc + self.t_o_final
+        if self.total != parts:
+            raise ValueError(
+                f"traffic report total {self.total} is not the sum of its "
+                f"parts {parts}")
 
     @property
     def buffer_bytes(self) -> int:

@@ -1,18 +1,27 @@
 """Exhaustive schedule search: permutations x tilings x buffering levels.
 
-The search follows a two-step shape.  Step one (precompute_requirements)
-derives, per loop ordering, the layer-independent structure of the
-candidate space: which positions multiply into each array's footprint,
-which positions can carry reuse of each array, and the short list of
-buffering levels worth considering (raising a level between two carriers
-never changes the buffer but never increases traffic, so only the level
-just under each carrier, and the top, can win).  Step two evaluates that
-structure for a concrete layer over all tile choices with vectorized
-integer arithmetic, then answers every budget at once from one staircase
-per ordering: the candidates sorted by buffer bytes with the running
-minimum of traffic, which searchsorted reads off at each budget.  Ties
-are broken deterministically (buffer bytes, spill bytes, then the
-canonical serialization), and only at the stairs some budget lands on.
+The search has two steps, the second of which prunes before it
+evaluates.  Step one (precompute_requirements) derives, per loop
+ordering, the layer-independent structure of the candidate space: which
+positions multiply into each array's footprint, which positions can
+carry reuse of each array, and the short list of buffering levels worth
+considering (raising a level between two carriers never changes the
+buffer but never increases traffic, so only the level just under each
+carrier, and the top, can win).
+
+Step two evaluates that structure for a concrete layer with vectorized
+integer arithmetic.  It first prices each array's candidate levels on
+every tile choice, then bounds and prunes: per tile, the cheapest level
+of each array that leaves room for the other two arrays' least buffers
+gives a lower bound on the tile's traffic at a budget, and a few real
+candidates give an upper bound on the ordering's best there.  Only tiles
+whose lower bound reaches the upper bound at some budget go into the
+full cross product of levels.  The survivors answer every budget at once
+from one staircase per ordering: the candidates sorted by buffer bytes
+with the running minimum of traffic, which searchsorted reads off at
+each budget.  Ties are broken deterministically (buffer bytes, spill
+bytes, then the canonical serialization), and only at the stairs some
+budget lands on.
 
 Every nest is laid out on ten fixed positions: the six tile-body loops of
 the ordering innermost-first, then controlling loops for SX, SY, IF, OF.
@@ -38,7 +47,7 @@ import numpy as np
 from .layers import LayerShape, LayerSuite, ValidationError
 from .model import (
     Axis, BufferingAssignment, Schedule, Tiles, TrafficReport,
-    ideal_traffic, schedule_to_json, traffic,
+    axis_full_extent, ideal_traffic, schedule_to_json, traffic,
 )
 from .space import (
     Ordering, TilePolicy, enumerate_permutations, enumerate_tiles, instantiate,
@@ -51,6 +60,11 @@ _HUGE = np.iinfo(np.int64).max // 4
 _POS_TSX, _POS_TSY, _POS_TIF, _POS_TOF = 6, 7, 8, 9
 _CTRL_AXIS = {_POS_TSX: Axis.SX, _POS_TSY: Axis.SY,
               _POS_TIF: Axis.IF, _POS_TOF: Axis.OF}
+
+# Rows of a layer's stacked extents (see _layer_extents): the six body
+# axes, then the controlling trip counts at their own positions.
+_AXIS_ROW = {Axis.OF: 0, Axis.IF: 1, Axis.SY: 2, Axis.SX: 3,
+             Axis.FY: 4, Axis.FX: 5}
 
 _W_DIMS = {Axis.FX, Axis.FY, Axis.IF, Axis.OF}
 _O_DIMS = {Axis.SX, Axis.SY, Axis.OF}
@@ -110,6 +124,8 @@ class OrderingPlan:
     # Input spatial state per dim: (kernel body pos, spatial body pos).
     x_pair: tuple[int, int]
     y_pair: tuple[int, int]
+    # Row of the layer's stacked extents at each of the ten positions.
+    rows: tuple[int, ...]
 
     @property
     def body_pos(self) -> dict[Axis, int]:
@@ -133,6 +149,7 @@ def _make_plan(ordering: Ordering) -> OrderingPlan:
         ordering=ordering, carriers=carriers, cand_levels=cand,
         x_pair=(pos[Axis.FX], pos[Axis.SX]),
         y_pair=(pos[Axis.FY], pos[Axis.SY]),
+        rows=tuple(_AXIS_ROW[a] for a in ordering) + (6, 7, 8, 9),
     )
 
 
@@ -149,11 +166,6 @@ class RequirementTable:
         if ordering not in _PLANS:
             _PLANS[ordering] = _make_plan(ordering)
         return _PLANS[ordering]
-
-    def row_count(self, layer: LayerShape, policy: TilePolicy) -> int:
-        menus = enumerate_tiles(layer, policy)
-        combos = math.prod(len(m) for m in menus.values())
-        return len(self.orderings) * combos
 
 
 def precompute_requirements(orderings: tuple[Ordering, ...] | None = None,
@@ -174,7 +186,6 @@ class _Tables:
     suffix: np.ndarray       # (10, T) product of extents above each position
     ft: dict[str, np.ndarray]   # (11, T); ft[a][p] = footprint below position p
     carrier_masks: dict[str, list[tuple[int, np.ndarray]]]
-    tiles: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # mss,css,iss,jss
 
 
 def _tile_vectors(menus: dict[Axis, tuple[int, ...]]) -> tuple[np.ndarray, ...]:
@@ -188,71 +199,77 @@ def _tile_vectors(menus: dict[Axis, tuple[int, ...]]) -> tuple[np.ndarray, ...]:
     return tuple(g.reshape(-1) for g in grids)
 
 
-def _build_tables(plan: OrderingPlan, layer: LayerShape,
-                  tiles: tuple[np.ndarray, ...]) -> _Tables:
+def _layer_extents(layer: LayerShape,
+                   tiles: tuple[np.ndarray, ...]) -> np.ndarray:
+    """(10, T) loop extents of a layer over tile combos, rows per _AXIS_ROW.
+
+    Rows 0-5 hold the body extent of each axis and rows 6-9 the trip
+    counts of the controlling loops, which sit at positions 6-9 in every
+    ordering; an ordering's nest takes these rows by its `rows`.
+    """
     mss, css, iss, jss = tiles
-    t = mss.size
-    ones = np.ones(t, dtype=np.int64)
-    body_extent = {
-        Axis.OF: mss, Axis.IF: css, Axis.SY: iss, Axis.SX: jss,
-        Axis.FY: ones * layer.k_h, Axis.FX: ones * layer.k_w,
-    }
-    ext = np.empty((10, t), dtype=np.int64)
-    for p, axis in enumerate(plan.ordering):
-        ext[p] = body_extent[axis]
+    ext = np.empty((10, mss.size), dtype=np.int64)
+    ext[:4] = tiles
+    ext[_AXIS_ROW[Axis.FY]] = layer.k_h
+    ext[_AXIS_ROW[Axis.FX]] = layer.k_w
     ext[_POS_TSX] = -(-layer.out_w // jss)
     ext[_POS_TSY] = -(-layer.out_h // iss)
     ext[_POS_TIF] = -(-layer.c_in // css)
     ext[_POS_TOF] = -(-layer.c_out // mss)
+    return ext
 
-    cum = np.cumprod(ext, axis=0)
-    total = cum[9]
-    suffix = total // cum
+
+def _build_tables(plan: OrderingPlan, layer: LayerShape,
+                  extents: np.ndarray) -> _Tables:
+    """The ordering's tables from the layer's stacked `extents`."""
+    t = extents.shape[1]
+    ext = extents.take(plan.rows, axis=0)
+    axes = plan.ordering + tuple(_CTRL_AXIS[p] for p in range(6, 10))
+
+    # Running products go row by row: numpy's cumprod along the first
+    # axis is several times slower on these short, wide tables.
+    suffix = np.ones((10, t), dtype=np.int64)
+    for p in range(8, -1, -1):
+        np.multiply(suffix[p + 1], ext[p + 1], out=suffix[p])
 
     ft = {a: np.ones((11, t), dtype=np.int64) for a in ("I", "W", "O")}
-    dims = {"W": _W_DIMS, "O": _O_DIMS}
-    for a in ("W", "O"):
-        for p in range(10):
-            axis = plan.ordering[p] if p < 6 else _CTRL_AXIS[p]
-            grow = ext[p] if axis in dims[a] else 1
-            ft[a][p + 1] = ft[a][p] * grow
+    for a, dims in (("W", _W_DIMS), ("O", _O_DIMS)):
+        for p, axis in enumerate(axes):
+            if axis in dims:
+                np.multiply(ft[a][p], ext[p], out=ft[a][p + 1])
+            else:
+                ft[a][p + 1] = ft[a][p]
 
-    # Inputs: channel product times a window factor per spatial dim.
-    channels = np.ones(t, dtype=np.int64)
-    x_state = {"k": False, "s": None, "trips": None}
-    y_state = {"k": False, "s": None, "trips": None}
-
-    def dim_factor(state, kernel: int) -> np.ndarray:
-        if state["k"] and state["s"] is not None:
-            base = (state["s"] - 1) * layer.stride + kernel
-        elif state["k"]:
-            base = ones * kernel
-        elif state["s"] is not None:
-            base = state["s"]
+    # Inputs: channel product times a window factor per spatial dim; each
+    # factor changes only at its own positions.
+    def window(state, kernel: int):
+        k_in, s, trips = state
+        if s is None:
+            base = kernel if k_in else 1
         else:
-            base = ones
-        return base * state["trips"] if state["trips"] is not None else base
+            base = (s - 1) * layer.stride + kernel if k_in else s
+        return base if trips is None else base * trips
 
-    for p in range(10):
-        axis = plan.ordering[p] if p < 6 else _CTRL_AXIS[p]
-        if axis is Axis.IF and p < 6:
-            channels = channels * css
-        elif axis is Axis.IF:
-            channels = channels * ext[_POS_TIF]
-        elif p == plan.x_pair[0]:
-            x_state["k"] = True
-        elif p == plan.x_pair[1]:
-            x_state["s"] = jss
-        elif p == _POS_TSX:
-            x_state["trips"] = ext[_POS_TSX]
-        elif p == plan.y_pair[0]:
-            y_state["k"] = True
-        elif p == plan.y_pair[1]:
-            y_state["s"] = iss
-        elif p == _POS_TSY:
-            y_state["trips"] = ext[_POS_TSY]
-        ft["I"][p + 1] = channels * dim_factor(x_state, layer.k_w) \
-            * dim_factor(y_state, layer.k_h)
+    # Per spatial dim: (kernel loop below, spatial extent, trip count).
+    slot = {plan.x_pair[0]: ("x", 0), plan.x_pair[1]: ("x", 1),
+            _POS_TSX: ("x", 2), plan.y_pair[0]: ("y", 0),
+            plan.y_pair[1]: ("y", 1), _POS_TSY: ("y", 2)}
+    state = {"x": [False, None, None], "y": [False, None, None]}
+    kernel = {"x": layer.k_w, "y": layer.k_h}
+    factor = {"x": 1, "y": 1}
+    channels = 1
+    fi = ft["I"]
+    for p, axis in enumerate(axes):
+        if axis is Axis.IF:
+            channels = channels * ext[p]
+        elif p in slot:
+            dim, i = slot[p]
+            state[dim][i] = True if i == 0 else ext[p]
+            factor[dim] = window(state[dim], kernel[dim])
+        else:
+            fi[p + 1] = fi[p]
+            continue
+        fi[p + 1] = channels * factor["x"] * factor["y"]
 
     # A carrier position carries iff its extent exceeds one; the input
     # spatial carriers also need the kernel in that dim to exceed one.
@@ -268,24 +285,26 @@ def _build_tables(plan: OrderingPlan, layer: LayerShape,
                     m = np.zeros(t, dtype=bool)
             lst.append((p, m))
         masks[a] = lst
-    return _Tables(ext=ext, suffix=suffix, ft=ft, carrier_masks=masks,
-                   tiles=tiles)
+    return _Tables(ext=ext, suffix=suffix, ft=ft, carrier_masks=masks)
 
 
 def _level_tables(tabs: _Tables, plan: OrderingPlan, array: str
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(traffic-units, buffer-elements) per candidate level, each (nL, T)."""
+    """(traffic-units, buffer-elements) per candidate level, each (nL, T).
+
+    The buffer is the footprint below the highest carrier at or under the
+    level that carries; levels and carriers both ascend.
+    """
     levels = plan.cand_levels[array]
-    t = tabs.ext.shape[1]
-    tr = np.empty((len(levels), t), dtype=np.int64)
-    bf = np.empty((len(levels), t), dtype=np.int64)
+    ft = tabs.ft[array]
+    tr = ft[np.add(levels, 1)] * tabs.suffix[list(levels)]
+    bf = np.empty_like(tr)
+    carriers = tabs.carrier_masks[array][::-1]
+    b = np.ones(tr.shape[1], dtype=np.int64)
     for i, lvl in enumerate(levels):
-        tr[i] = tabs.ft[array][lvl + 1] * tabs.suffix[lvl]
-        b = np.ones(t, dtype=np.int64)
-        for p, mask in tabs.carrier_masks[array]:
-            if p > lvl:
-                break
-            b = np.where(mask, tabs.ft[array][p], b)
+        while carriers and carriers[-1][0] <= lvl:
+            p, mask = carriers.pop()
+            b = np.where(mask, ft[p], b)
         bf[i] = b
     return tr, bf
 
@@ -299,16 +318,16 @@ def _o_acc_table(tabs: _Tables, plan: OrderingPlan, layer: LayerShape
     distinct outputs at accumulator precision.
     """
     levels = plan.cand_levels["O"]
-    t = tabs.ext.shape[1]
     distinct = layer.c_out * layer.out_h * layer.out_w
-    out = np.empty((len(levels), t), dtype=np.int64)
-    for i, lvl in enumerate(levels):
-        passes = np.ones(t, dtype=np.int64)
-        for p, mask in tabs.carrier_masks["O"]:
-            if p > lvl:
-                passes = np.where(mask, passes * tabs.ext[p], passes)
-        out[i] = 2 * layer.p_acc * distinct * (passes - 1)
-    return out
+    out = np.empty((len(levels), tabs.ext.shape[1]), dtype=np.int64)
+    carriers = list(tabs.carrier_masks["O"])
+    passes = np.ones(out.shape[1], dtype=np.int64)
+    for i in reversed(range(len(levels))):
+        while carriers and carriers[-1][0] > levels[i]:
+            p, mask = carriers.pop()
+            passes = np.where(mask, passes * tabs.ext[p], passes)
+        out[i] = passes
+    return 2 * layer.p_acc * distinct * (out - 1)
 
 
 def _compact_levels(layer: LayerShape, mss: int, css: int, iss: int, jss: int,
@@ -339,6 +358,19 @@ def _serialize_candidate(ordering: Ordering, layer: LayerShape,
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _compact_table(extents: np.ndarray) -> np.ndarray:
+    """(10, T): the compacted level of each ten-slot level per tile combo.
+
+    The vectorized _compact_levels over a layer's stacked extents: a body
+    position keeps its index, a controlling position lands after the
+    controlling loops up to it that run more than once.
+    """
+    out = np.empty_like(extents)
+    out[:6] = np.arange(6)[:, None]
+    out[6:] = 5 + np.cumsum(extents[6:] > 1, axis=0)
+    return out
+
+
 @dataclass
 class LayerEvaluation:
     """Everything one exhaustive pass over a layer's schedule space yields."""
@@ -348,7 +380,6 @@ class LayerEvaluation:
     results: tuple[SearchResult, ...]      # one per budget
     orderings: tuple[Ordering, ...]
     ordering_best: np.ndarray              # (orderings, budgets); -1 infeasible
-    min_budget_ideal: int
     candidates: int
 
 
@@ -366,13 +397,18 @@ class _Step:
     buffer: int
     acc: int
     ids: np.ndarray                        # flat candidate indices
+    levels_of: Callable[[np.ndarray], np.ndarray]  # flat -> (3, n) I, O, W
     decode: Callable[[int], tuple[str, object]]  # flat -> (serial, payload)
     _best: tuple[str, object] | None = None
 
     def best(self) -> tuple[str, object]:
         """(serial, payload) of the least serialization among the ties."""
         if self._best is None:
-            for flat in np.sort(self.ids).tolist():
+            # A serialization opens with the compacted I, O and W levels,
+            # one digit each, so only the least of those can hold the least.
+            li, lo, lw = self.levels_of(self.ids)
+            rank = (li * 10 + lo) * 10 + lw
+            for flat in np.sort(self.ids[rank == rank.min()]).tolist():
                 serial, payload = self.decode(flat)
                 if self._best is None or serial < self._best[0]:
                     self._best = (serial, payload)
@@ -404,13 +440,17 @@ class _Staircase:
 
     def add(self, total: np.ndarray, buffer: np.ndarray, floor: int,
             acc_of: Callable[[np.ndarray], np.ndarray],
+            levels_of: Callable[[np.ndarray], np.ndarray],
             decode: Callable[[int], tuple[str, object]]) -> np.ndarray:
         """Merge one ordering's flat candidates; its best traffic per budget.
 
-        `floor` is the smallest buffer among them, `acc_of` maps flat
-        indices to spill bytes, `decode` one flat index to its canonical
-        serialization and whatever the caller needs to materialize it.
-        Returns -1 where none of its candidates fits.
+        `floor` is the ordering's smallest buffer.  The candidates need
+        not be all of the ordering's, only every one that fits some budget
+        at the ordering's best traffic there.  `acc_of` maps flat indices
+        to spill bytes, `levels_of` to their compacted (I, O, W) buffering
+        levels, `decode` one flat index to its canonical serialization and
+        whatever the caller needs to materialize it.  Returns -1 where
+        none of its candidates fits.
         """
         budgets = self.budgets
         reach = budgets[budgets >= floor]
@@ -440,7 +480,7 @@ class _Staircase:
             acc = acc_of(ids)
             steps.append(_Step(total=int(st[j]), buffer=int(sb[j]),
                                acc=int(acc.min()), ids=ids[acc == acc.min()],
-                               decode=decode))
+                               levels_of=levels_of, decode=decode))
 
         # Merge into the per-budget winners: lexicographic on the three
         # numbers; where those tie, serializations decide, once per pair of
@@ -466,6 +506,157 @@ class _Staircase:
             self.steps.extend(steps[s] for s in local.tolist())
             self.key[:, better] = key[:, better]
         return best
+
+
+# ---------------------------------------------------------------------------
+# Bound and prune: which tiles of an ordering can still hold a best candidate.
+
+# Tiles of least lower bound, per bound point, whose exact best sets the
+# upper bound there.
+_PROBE = 4
+
+# One (value, weight) pair of (nL, T) tables per array, in (I, W, O)
+# order: traffic and buffer bytes in the search, swapped for the buffer
+# that reaches ideal traffic.
+_Arrays = list[tuple[np.ndarray, np.ndarray]]
+
+
+def _byte_tables(plan: OrderingPlan, layer: LayerShape,
+                 extents: np.ndarray) -> _Arrays:
+    """(traffic, buffer) bytes per candidate level of I, W and O.
+
+    The constant output write joins the input traffic, so the output's
+    traffic is its partial-sum spill alone.
+    """
+    tabs = _build_tables(plan, layer, extents)
+    ti, bi = _level_tables(tabs, plan, "I")
+    tw, bw = _level_tables(tabs, plan, "W")
+    _, bo = _level_tables(tabs, plan, "O")
+    distinct = layer.c_out * layer.out_h * layer.out_w
+    return [(layer.p_in * ti + layer.p_out * distinct, layer.p_in * bi),
+            (layer.p_w * tw, layer.p_w * bw),
+            (_o_acc_table(tabs, plan, layer), layer.p_acc * bo)]
+
+
+def _columns(arrays: _Arrays, cols: np.ndarray) -> _Arrays:
+    return [(v.take(cols, axis=1), w.take(cols, axis=1)) for v, w in arrays]
+
+
+def _cross(arrays: _Arrays) -> tuple[np.ndarray, np.ndarray]:
+    """Summed values and weights of every (I, W, O) level triple on every
+    tile, each shaped (nI, nW, nO, T)."""
+    (vi, wi), (vw, ww), (vo, wo) = arrays
+    value = vi[:, None, None, :] + vw[None, :, None, :] + vo[None, None, :, :]
+    weight = wi[:, None, None, :] + ww[None, :, None, :] + wo[None, None, :, :]
+    return value, weight
+
+
+def _lower_bound(arrays: _Arrays, caps: np.ndarray) -> np.ndarray:
+    """(G, T): per cap and tile, at most the least summed value of a level
+    triple whose summed weight fits the cap.
+
+    Each array can weigh at most the cap less the other two arrays' least
+    weights on that tile; its least value within that bounds its share.
+    Where the least weights alone exceed the cap the bound is _HUGE or more.
+    """
+    least = [w.min(axis=0) for _, w in arrays]
+    spare = caps[:, None] - sum(least)
+    bound = np.zeros(spare.shape, dtype=np.int64)
+    for (v, w), m in zip(arrays, least):
+        room = spare + m
+        share = np.full(room.shape, _HUGE)
+        for level_v, level_w in zip(v, w):
+            np.minimum(share, level_v, out=share, where=level_w <= room)
+        bound += share
+    return bound
+
+
+def _survivors(arrays: _Arrays, reach: np.ndarray) -> np.ndarray:
+    """Tile columns that can hold the ordering's best traffic at a budget.
+
+    `reach` holds the budgets, ascending and distinct, none below the
+    ordering's smallest buffer.  The bound points are those budgets when
+    there are no more of them than points on the doubling grid from the
+    smallest to the largest, and that grid otherwise.  A tile survives if
+    its lower bound is at most the upper bound at some point: the exact
+    best over a probe of the tiles of least lower bound, which holds a
+    tile that fits, so it is never below the ordering's true best.  On the
+    grid a budget between two points has a best no worse than the left
+    point's and a bound no lower than the right point's, so those two are
+    compared.
+    """
+    lo, hi = int(reach[0]), int(reach[-1])
+    grid = [lo]
+    while grid[-1] < hi:
+        grid.append(min(2 * grid[-1], hi))
+    exact = reach.size <= len(grid)
+    points = reach if exact else np.asarray(grid, dtype=np.int64)
+
+    bound = _lower_bound(arrays, points)
+    if bound.shape[1] > _PROBE:
+        probe = np.unique(np.argpartition(bound, _PROBE, axis=1)[:, :_PROBE])
+    else:
+        probe = np.arange(bound.shape[1])
+    value, weight = _cross(_columns(arrays, probe))
+    fits = weight.reshape(1, -1) <= points[:, None]
+    upper = np.where(fits, value.reshape(1, -1), _HUGE).min(axis=1)
+    if exact:
+        keep = (bound <= upper[:, None]).any(axis=0)
+    else:
+        keep = (bound[1:] <= upper[:-1, None]).any(axis=0)
+    return np.flatnonzero(keep)
+
+
+def _first_least(arrays: _Arrays) -> tuple[int, int, int]:
+    """(flat index, buffer, traffic) of the first least-buffer candidate.
+
+    The flat index is into the full (nI, nW, nO, T) cross product, and the
+    candidate is the one its argmin would find, derived from the per-array
+    least buffers without building the product: the least level of each
+    array in turn among tiles still at the floor, then the least tile.
+    """
+    least = [w.min(axis=0) for _, w in arrays]
+    floors = sum(least)
+    cols = floors == floors.min()
+    levels = []
+    for (_, w), m in zip(arrays, least):
+        at = (w == m) & cols
+        levels.append(int(np.flatnonzero(at.any(axis=1))[0]))
+        cols = at[levels[-1]]
+    t = int(np.flatnonzero(cols)[0])
+    shape = tuple(w.shape[0] for _, w in arrays) + (cols.size,)
+    flat = int(np.ravel_multi_index((*levels, t), shape))
+    buffer = sum(int(w[l, t]) for (_, w), l in zip(arrays, levels))
+    total = sum(int(v[l, t]) for (v, _), l in zip(arrays, levels))
+    return flat, buffer, total
+
+
+def _check_int64_range(layer: LayerShape,
+                       menus: dict[Axis, tuple[int, ...]]) -> None:
+    """Refuse a layer whose byte counts could overflow the engine's int64.
+
+    Bounds with Python ints what the tables multiply: the loop product
+    (per tiled axis the largest tile times its trip count), an input
+    window wider than tile times kernel when the stride exceeds the
+    kernel, and the spill passes (kernel and input-channel loops).  Every
+    traffic, buffer and spill entry, and every sum of them, is below it;
+    the bound step's sentinels stay clear of it too.
+    """
+    def span(axis: Axis) -> int:
+        extent = axis_full_extent(axis, layer)
+        return max(t * -(-extent // t) for t in menus[axis])
+
+    kernel = layer.k_h * layer.k_w
+    loops = kernel * math.prod(span(a) for a in menus)
+    window = -(-layer.stride // layer.k_h) * -(-layer.stride // layer.k_w)
+    distinct = layer.c_out * layer.out_h * layer.out_w
+    worst = ((layer.p_in * window + layer.p_w + layer.p_out + 2 * layer.p_acc)
+             * loops + layer.p_out * distinct
+             + 2 * layer.p_acc * distinct * kernel * span(Axis.IF))
+    if worst >= _HUGE:
+        raise ValidationError(
+            f"layer {layer.name!r}: byte counts up to {worst} do not fit the "
+            f"search's 64-bit arithmetic (limit {_HUGE})")
 
 
 def _materialize(step: _Step, layer: LayerShape, budget: int | None,
@@ -498,70 +689,70 @@ def evaluate_layer(layer: LayerShape,
                    ) -> LayerEvaluation:
     """Exhaustive search over the full space, all budgets in one pass.
 
-    Each ordering's candidates go through one staircase (see _Staircase),
-    so the cost barely grows with the number of budgets.  Per budget the
-    winner has the least traffic among candidates whose buffer fits, then
-    the fewest buffer bytes, spill bytes and the least canonical
-    serialization; `ordering_best` holds each ordering's least traffic
-    per budget.  Budgets need not be sorted or unique.  Where nothing
-    fits, the smallest-buffer candidate is reported as infeasible.
+    Per ordering, only the tiles that survive the bound step (see
+    _survivors) are expanded into candidates, and those go through one
+    staircase (see _Staircase), so the cost barely grows with the number
+    of budgets.  Per budget the winner has the least traffic among
+    candidates whose buffer fits, then the fewest buffer bytes, spill
+    bytes and the least canonical serialization; `ordering_best` holds
+    each ordering's least traffic per budget.  Both are those of the full
+    space.  Budgets need not be sorted or unique.  Where nothing fits, the
+    smallest-buffer candidate is reported as infeasible.
     """
     policy = policy or TilePolicy()
     table = precompute_requirements(orderings, prune)
     orderings = table.orderings
     menus = enumerate_tiles(layer, policy)
+    _check_int64_range(layer, menus)
     tiles = _tile_vectors(menus)
-    ideal = ideal_traffic(layer)
+    extents = _layer_extents(layer, tiles)
+    compact = _compact_table(extents)
+    n_t = extents.shape[1]
+    budgets_v = np.asarray(budgets, dtype=np.int64)
 
     stairs = _Staircase(budgets)
     ordering_best = np.full((len(orderings), len(budgets)), -1, dtype=np.int64)
     fallback: tuple | None = None  # smallest-buffer candidate overall
-    min_ideal_sb = _HUGE
     candidates = 0
 
     for oi, ordering in enumerate(orderings):
         plan = table.plan(ordering)
-        tabs = _build_tables(plan, layer, tiles)
-        cand = plan.cand_levels
-        ti, bi = _level_tables(tabs, plan, "I")
-        tw, bw = _level_tables(tabs, plan, "W")
-        _, bo = _level_tables(tabs, plan, "O")
+        arrays = _byte_tables(plan, layer, extents)
+        candidates += math.prod(w.shape[0] for _, w in arrays) * n_t
 
-        distinct = layer.c_out * layer.out_h * layer.out_w
-        toacc = _o_acc_table(tabs, plan, layer)
-        # The constant output write joins the smallest operand.
-        st = (layer.p_in * ti + layer.p_out * distinct)[:, None, None, :] \
-            + (layer.p_w * tw)[None, :, None, :] \
-            + toacc[None, None, :, :]
-        sb = (layer.p_in * bi)[:, None, None, :] \
-            + (layer.p_w * bw)[None, :, None, :] \
-            + (layer.p_acc * bo)[None, None, :, :]
-        shape = st.shape
-        st_flat, sb_flat = st.reshape(-1), sb.reshape(-1)
-        candidates += st_flat.size
+        flat, floor, total = _first_least(arrays)
+        if fallback is None or (floor, total) < fallback[:2]:
+            fallback = (floor, total, oi, flat)
+        reach = np.unique(budgets_v[budgets_v >= floor])
+        if reach.size == 0:
+            continue
 
-        at_ideal = sb_flat[st_flat == ideal]
-        if at_ideal.size:
-            min_ideal_sb = min(min_ideal_sb, int(at_ideal.min()))
+        cols = _survivors(arrays, reach)
+        kept = _columns(arrays, cols)
+        st, sb = _cross(kept)
+        toacc, shape = kept[2][0], st.shape
+        levels = [np.asarray(plan.cand_levels[a]) for a in ("I", "W", "O")]
 
-        flat = int(sb_flat.argmin())
-        floor = int(sb_flat[flat])
-        fb = (floor, int(st_flat[flat]), oi, flat)
-        if fallback is None or fb[:2] < fallback[:2]:
-            fallback = fb
+        def acc_of(ids, toacc=toacc, n_c=shape[3], n_o=shape[2]):
+            return toacc[(ids // n_c) % n_o, ids % n_c]
 
-        def acc_of(ids, toacc=toacc, n_t=shape[3], n_o=shape[2]):
-            return toacc[(ids // n_t) % n_o, ids % n_t]
+        def levels_of(ids, levels=levels, cols=cols, shape=shape):
+            i, j, k, c = np.unravel_index(ids, shape)
+            t = cols[c]
+            return np.stack([compact[levels[0][i], t],
+                             compact[levels[2][k], t],
+                             compact[levels[1][j], t]])
 
-        def decode(flat, ordering=ordering, cand=cand, shape=shape):
-            i, j, k, t = np.unravel_index(flat, shape)
-            tile = tuple(int(v[t]) for v in tiles)
-            lv = (cand["I"][i], cand["W"][j], cand["O"][k])
+        def decode(flat, ordering=ordering, levels=levels, cols=cols,
+                   shape=shape):
+            i, j, k, c = np.unravel_index(flat, shape)
+            tile = tuple(int(v[cols[c]]) for v in tiles)
+            lv = (int(levels[0][i]), int(levels[1][j]), int(levels[2][k]))
             serial = _serialize_candidate(ordering, layer, *tile, lv)
             return serial, (ordering, tile, lv)
 
-        ordering_best[oi] = stairs.add(st_flat, sb_flat, floor, acc_of,
-                                       decode)
+        ordering_best[oi] = stairs.add(st.reshape(-1), sb.reshape(-1), floor,
+                                       acc_of, levels_of, decode)
 
     results = []
     for budget, step in zip(budgets, stairs.winners):
@@ -570,12 +761,10 @@ def evaluate_layer(layer: LayerShape,
         else:
             results.append(_materialize_fallback(fallback, table, layer,
                                                  budget, tiles, candidates))
-    if min_ideal_sb >= _HUGE:
-        min_ideal_sb = -1  # explicit tile menus can exclude the untiled nest
     return LayerEvaluation(
         layer=layer, budgets=tuple(budgets), results=tuple(results),
         orderings=orderings, ordering_best=ordering_best,
-        min_budget_ideal=min_ideal_sb, candidates=candidates,
+        candidates=candidates,
     )
 
 
@@ -617,11 +806,39 @@ def best_schedule(layer: LayerShape, budget: int,
 def min_budget_for_ideal(layer: LayerShape,
                          policy: TilePolicy | None = None,
                          prune: bool = True) -> int:
-    """Smallest buffer capacity at which some schedule reaches ideal traffic."""
-    ev = evaluate_layer(layer, (1,), policy, prune)
-    if ev.min_budget_ideal < 0:
+    """Smallest buffer capacity at which some schedule reaches ideal traffic.
+
+    An exact pass of its own over the search's space, bound and pruned
+    with traffic and buffer in swapped roles: per tile, the least buffer
+    of a level triple whose traffic fits the ideal bounds the buffer of
+    one that reaches it.  The least buffer found so far, first over a
+    probe of the tiles of least bound, drops every tile bounded at or
+    above it.
+    """
+    policy = policy or TilePolicy()
+    table = precompute_requirements(None, prune)
+    menus = enumerate_tiles(layer, policy)
+    _check_int64_range(layer, menus)
+    extents = _layer_extents(layer, _tile_vectors(menus))
+    ideal = ideal_traffic(layer)
+    least = _HUGE
+
+    def least_at_ideal(arrays: _Arrays, cols: np.ndarray) -> int:
+        st, sb = _cross(_columns(arrays, cols))
+        at = sb[st == ideal]
+        return int(at.min()) if at.size else _HUGE
+
+    for ordering in table.orderings:
+        arrays = _byte_tables(table.plan(ordering), layer, extents)
+        bound = _lower_bound([(w, v) for v, w in arrays],
+                             np.asarray([ideal], dtype=np.int64))[0]
+        probe = np.argsort(bound, kind="stable")[:_PROBE]
+        least = min(least, least_at_ideal(arrays, probe))
+        rest = np.flatnonzero(bound < least)
+        least = min(least, least_at_ideal(arrays, rest))
+    if least >= _HUGE:
         raise ValidationError("ideal traffic unreachable under this tile policy")
-    return ev.min_budget_ideal
+    return least
 
 
 def ideal_report(layer: LayerShape) -> TrafficReport:

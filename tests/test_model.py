@@ -7,6 +7,11 @@ paper: inputs 2x8x8 = 128 elements, weights 4x2x3x3 = 72, outputs
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +282,35 @@ def test_schedule_json_missing_tiles_default_to_full_extent():
            "buffering": {"I": 5, "W": 5, "O": 5}}
     sched, _ = schedule_from_json(json.dumps(doc), tiny)
     assert sched.tiles == Tiles(mss=2, css=2, iss=6, jss=6)
+
+
+def test_report_parts_must_add_up_under_python_O():
+    # `python -O` strips assert statements; a report whose total is not the
+    # sum of its parts must still be refused.
+    script = textwrap.dedent("""
+        import dataclasses, sys
+        from convsched import BufferingAssignment, LayerShape, Tiles
+        from convsched import instantiate, traffic
+        from convsched.model import Axis
+        if __debug__:
+            sys.exit("not running under -O")
+        layer = LayerShape(name="tiny", out_h=6, out_w=6, k_h=3, k_w=3,
+                           stride=1, c_in=2, c_out=4)
+        order = (Axis.FX, Axis.FY, Axis.SX, Axis.SY, Axis.IF, Axis.OF)
+        sched = instantiate(order, Tiles(4, 2, 6, 6), layer)
+        report = traffic(sched, BufferingAssignment(5, 5, 5))
+        try:
+            dataclasses.replace(report, total=report.total + 1)
+        except ValueError as e:
+            print(e)
+        else:
+            sys.exit("a report with a wrong total was accepted")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "total 345 is not the sum of its parts 344" in done.stdout

@@ -8,6 +8,7 @@ schedule.
 """
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -40,6 +41,8 @@ from convsched import (
     traffic,
     worker_count,
 )
+from convsched import baselines, search
+from convsched.space import enumerate_tiles
 from conftest import make_tiny
 
 
@@ -334,3 +337,162 @@ def test_cross_check_raises_under_python_O():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "tiny at budget 256" in done.stdout
+
+
+def test_layer_past_int64_is_a_validation_error():
+    # Its spill bytes alone pass 2**63: unchecked, the int64 sum wrapped to
+    # a negative total that won the search.
+    huge = LayerShape(name="huge", out_h=1024, out_w=1024, k_h=1, k_w=1,
+                      stride=1, c_in=2 ** 20, c_out=2 ** 20, p_acc=8)
+    with pytest.raises(ValidationError, match="64-bit"):
+        evaluate_layer(huge, (1024,))
+    with pytest.raises(ValidationError, match="64-bit"):
+        cache_results(huge, (1024,))
+    with pytest.raises(ValidationError, match="64-bit"):
+        min_budget_for_ideal(huge)
+
+
+# ---------------------------------------------------------------------------
+# The pruned engine against a brute-force minimum over the full space.
+
+def _desk_layers(seed):
+    """Random desk-scale layers: a rectangular kernel under a wider stride,
+    a stride wider than the whole kernel, a square one at stride one.
+    Extents in 3..6 leave power-of-two tiles that do not divide them; one
+    to four channels keep the brute force small."""
+    rng = np.random.default_rng(seed)
+    for i, (k_h, k_w, stride) in enumerate(((3, 1, 2), (2, 3, 4), (3, 3, 1))):
+        out_h, out_w = (int(v) for v in rng.integers(3, 7, 2))
+        c_in, c_out = (int(v) for v in rng.integers(1, 5, 2))
+        p_out = int(rng.integers(1, 3))
+        yield LayerShape(name=f"desk{seed}-{i}", out_h=out_h, out_w=out_w,
+                         k_h=k_h, k_w=k_w, stride=stride, c_in=c_in,
+                         c_out=c_out, p_in=int(rng.integers(1, 3)),
+                         p_w=int(rng.integers(1, 3)), p_out=p_out,
+                         p_acc=p_out + int(rng.integers(0, 3)))
+
+
+def _budget_sets(layer):
+    whole = (layer.p_in * layer.c_in * layer.in_h * layer.in_w
+             + layer.p_w * layer.c_out * layer.c_in * layer.k_h * layer.k_w
+             + layer.p_acc * layer.c_out * layer.out_h * layer.out_w)
+    return {
+        "one": (whole // 16,),
+        "ten octaves": tuple((whole >> 9) + 1 << s for s in (0, 5, 10)),
+        "dense": tuple(int(whole * 2 ** (i / 8 - 7)) + 1 for i in range(64)),
+        "below the floor": (1, 2, 3),
+        "unsorted, repeated": (whole // 8, 1, whole // 64, whole // 8, whole),
+    }
+
+
+def _least(candidates, budgets, serial):
+    """Per budget the least (traffic, buffer, spill, serial) over candidate
+    arrays (traffic, buffer, spill), one set per ordering; the least
+    traffic per ordering and budget; the first least-buffer candidate
+    of the set whose (buffer, its traffic) is least."""
+    best = [None] * len(budgets)
+    per_ordering = np.full((len(candidates), len(budgets)), -1)
+    least_buffer = None
+    serial = functools.lru_cache(maxsize=None)(serial)
+    for o, (st, sb, acc) in enumerate(candidates):
+        f = int(sb.argmin())
+        if least_buffer is None or (sb[f], st[f]) < least_buffer[:2]:
+            least_buffer = (int(sb[f]), int(st[f]), serial(o, f))
+        fits = sb[None] <= np.asarray(budgets)[:, None]
+        lows = np.where(fits, st[None], np.iinfo(np.int64).max).min(axis=1)
+        for b in np.flatnonzero(fits.any(axis=1)):
+            per_ordering[o, b] = low = lows[b]
+            if best[b] is not None and low > best[b][0]:
+                continue
+            ids = np.flatnonzero(fits[b] & (st == low))
+            ids = ids[sb[ids] == sb[ids].min()]
+            ids = ids[acc[ids] == acc[ids].min()]
+            key = (int(low), int(sb[ids[0]]), int(acc[ids[0]]))
+            if best[b] is None or key <= best[b][:3]:
+                cand = key + (min(serial(o, i) for i in ids),)
+                best[b] = cand if best[b] is None else min(best[b], cand)
+    return best, per_ordering, least_buffer
+
+
+def _brute_force(layer, budgets, policy):
+    """The search's full cross product, reduced without bounds or stairs;
+    also the least buffer at ideal traffic."""
+    table = search.precompute_requirements()
+    tiles = search._tile_vectors(enumerate_tiles(layer, policy))
+    extents = search._layer_extents(layer, tiles)
+    ideal = ideal_traffic(layer)
+    candidates, shapes, at_ideal = [], [], []
+    for ordering in table.orderings:
+        (ti, bi), (tw, bw), (to, bo) = search._byte_tables(
+            table.plan(ordering), layer, extents)
+        st = ti[:, None, None] + tw[None, :, None] + to[None, None]
+        sb = bi[:, None, None] + bw[None, :, None] + bo[None, None]
+        acc = np.broadcast_to(to[None, None], st.shape)
+        candidates.append((st.reshape(-1), sb.reshape(-1), acc.reshape(-1)))
+        shapes.append(st.shape)
+        at_ideal.extend(sb[st == ideal].tolist())
+
+    def serial(o, flat):
+        i, j, k, t = np.unravel_index(flat, shapes[o])
+        plan = table.plan(table.orderings[o])
+        levels = (plan.cand_levels["I"][i], plan.cand_levels["W"][j],
+                  plan.cand_levels["O"][k])
+        return search._serialize_candidate(
+            plan.ordering, layer, *(int(v[t]) for v in tiles), levels)
+
+    return _least(candidates, budgets, serial), min(at_ideal, default=None)
+
+
+def _brute_force_cache(layer, budgets, policy):
+    table = search.precompute_requirements()
+    tiles = search._tile_vectors(enumerate_tiles(layer, policy))
+    extents = search._layer_extents(layer, tiles)
+    candidates = []
+    for ordering in table.orderings:
+        ws, tot, acc = baselines._cache_tables(table.plan(ordering), layer,
+                                               extents)
+        candidates.append((tot.reshape(-1), ws.reshape(-1), acc.reshape(-1)))
+
+    def serial(o, flat):
+        k, t = divmod(flat, tiles[0].size)
+        return search._serialize_candidate(
+            table.orderings[o], layer, *(int(v[t]) for v in tiles), (k, k, k))
+
+    return _least(candidates, budgets, serial)
+
+
+def _check(results, best, fallback):
+    for res, want in zip(results, best):
+        got = (res.report.total, res.report.buffer_bytes, res.report.t_o_acc,
+               schedule_to_json(res.schedule, res.assignment))
+        if want is None:
+            assert not res.feasible
+            assert (got[1], got[0], got[3]) == fallback
+        else:
+            assert res.feasible
+            assert got == want
+
+
+def test_pruned_search_matches_brute_force_over_the_full_space():
+    # Results, serializations and ordering_best of the pruned search, the
+    # cache model's results, and min_budget_for_ideal, all against plain
+    # minima over every candidate; a few seconds.
+    policy = TilePolicy()
+    for layer in _desk_layers(seed=1):
+        union = sorted({b for bs in _budget_sets(layer).values() for b in bs})
+        (best, per_ordering, fallback), at_ideal = _brute_force(
+            layer, union, policy)
+        cache_best_, _, cache_fallback = _brute_force_cache(layer, union,
+                                                            policy)
+        for name, budgets in _budget_sets(layer).items():
+            cols = [union.index(b) for b in budgets]
+            ev = evaluate_layer(layer, budgets, policy)
+            _check(ev.results, [best[c] for c in cols], fallback)
+            assert (ev.ordering_best == per_ordering[:, cols]).all(), name
+            _check(cache_results(layer, budgets, policy),
+                   [cache_best_[c] for c in cols], cache_fallback)
+        if at_ideal is None:
+            with pytest.raises(ValidationError):
+                min_budget_for_ideal(layer, policy)
+        else:
+            assert min_budget_for_ideal(layer, policy) == at_ideal
