@@ -380,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", required=True, metavar="FILE")
     p.add_argument("--budget", type=parse_byte_size, default=None)
     p.add_argument("--oracle-cap", type=int, default=10 ** 8,
-                   help="iteration cap for the oracle (default %(default)s)")
+                   help="refuse (exit 3) nests of more loop iterations than "
+                        "this (default %(default)s); the oracle walks the "
+                        "built-in layers' winners at over 10^8 a second")
     _add_out_flags(p, "text")
     p.set_defaults(func=cmd_validate)
 

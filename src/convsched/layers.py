@@ -21,6 +21,10 @@ class ValidationError(ValueError):
     """A layer, suite, or schedule violates one of its invariants."""
 
 
+class CrossCheckError(RuntimeError):
+    """An engine or oracle answer disagrees with the check that arbitrates it."""
+
+
 _PRECISION_DEFAULTS = {"p_in": 1, "p_w": 1, "p_out": 1, "p_acc": 4}
 
 

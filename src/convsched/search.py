@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import LayerShape, LayerSuite, ValidationError
+from .layers import CrossCheckError, LayerShape, LayerSuite, ValidationError
 from .model import (
     Axis, BufferingAssignment, Schedule, Tiles, TrafficReport,
     axis_full_extent, ideal_traffic, schedule_to_json, traffic,
@@ -72,10 +72,6 @@ _O_DIMS = {Axis.SX, Axis.SY, Axis.OF}
 MODEL_ORDER = ("ours", "peemen", "cache", "hwc", "hwce", "ideal")
 
 TIE_BREAK_DEFAULT = "traffic,buffer,acc,serial"
-
-
-class CrossCheckError(RuntimeError):
-    """An engine answer disagrees with the scalar model that arbitrates it."""
 
 
 @dataclass(frozen=True)

@@ -1,30 +1,12 @@
-"""Shared fixtures: a desk-scale layer and the (expensive) corpus sweep.
-
-The corpus fixtures run the exhaustive search plus both baselines over
-every built-in layer at the nine budgets 1 kB..256 kB.  That is a couple
-of minutes of work, so they are session-scoped and only the acceptance
-tests touch them; the unit-test modules stay fast on their own.
-"""
+"""Shared fixtures: a desk-scale layer and its untiled nest."""
 from __future__ import annotations
 
 import pytest
 
-from convsched import (
-    Axis,
-    LayerShape,
-    Tiles,
-    builtin_suite,
-    BUILTIN_SUITE_NAMES,
-    cache_results,
-    evaluate_layer,
-    instantiate,
-    peemen_best,
-)
+from convsched import Axis, LayerShape, Tiles, instantiate
 
 # Innermost-first: the untiled nest of the reference formulation.
 CANONICAL_ORDER = (Axis.FX, Axis.FY, Axis.SX, Axis.SY, Axis.IF, Axis.OF)
-
-SWEEP_BUDGETS = tuple(1024 * 2 ** k for k in range(9))  # 1 kB .. 256 kB
 
 
 def make_tiny() -> LayerShape:
@@ -42,27 +24,3 @@ def untiled(layer: LayerShape, order=CANONICAL_ORDER):
 @pytest.fixture
 def tiny() -> LayerShape:
     return make_tiny()
-
-
-@pytest.fixture(scope="session")
-def corpus_evaluations():
-    """{suite name: [LayerEvaluation at SWEEP_BUDGETS, one per layer]}."""
-    out = {}
-    for name in BUILTIN_SUITE_NAMES:
-        out[name] = [evaluate_layer(layer, SWEEP_BUDGETS)
-                     for layer in builtin_suite(name)]
-    return out
-
-
-@pytest.fixture(scope="session")
-def corpus_baselines():
-    """{suite name: {(layer name, budget): (peemen result, cache result)}}."""
-    out = {}
-    for name in BUILTIN_SUITE_NAMES:
-        rows = {}
-        for layer in builtin_suite(name):
-            cache = cache_results(layer, SWEEP_BUDGETS)
-            for budget, c_res in zip(SWEEP_BUDGETS, cache):
-                rows[layer.name, budget] = (peemen_best(layer, budget), c_res)
-        out[name] = rows
-    return out

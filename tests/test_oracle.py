@@ -1,5 +1,13 @@
 from __future__ import annotations
 
+import itertools
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from convsched import (
@@ -8,10 +16,16 @@ from convsched import (
     LayerShape,
     OracleCapError,
     Tiles,
+    TraceStats,
+    enumerate_permutations,
+    evaluate_layer,
+    find_builtin_layer,
     instantiate,
+    oracle,
     simulate,
     validate,
 )
+from convsched.space import TILEABLE_AXES
 from conftest import CANONICAL_ORDER, make_tiny, untiled
 
 
@@ -87,3 +101,161 @@ def test_validate_strided_non_dividing_overestimates_slightly():
     rep = validate(sched, BufferingAssignment(5, 5, 2))
     assert rep.undercounts == ()
     assert 0 <= rep.rel_err_total <= 0.005
+
+
+# ---------------------------------------------------------------------------
+# The chunked walk against plain nested loops.
+
+def _walk(schedule, assignment):
+    """TraceStats from nested Python loops over `schedule.loops` and one set
+    of (instance, element) pairs per array, an instance being the counters
+    of the loops above the array's buffering level."""
+    layer = schedule.layer
+    loops = schedule.loops
+    steps = [1 if l.is_tile_loop else schedule.tiles.for_axis(l.axis, layer)
+             for l in loops]
+    levels = {"I": assignment.level_i, "W": assignment.level_w,
+              "O": assignment.level_o}
+    pairs = {a: set() for a in levels}
+    iterations = 0
+    # itertools.product runs its last range fastest: outermost loop first.
+    for outer_first in itertools.product(*(range(l.extent)
+                                           for l in reversed(loops))):
+        counters = outer_first[::-1]
+        at = dict.fromkeys(Axis, 0)
+        for loop, step, c in zip(loops, steps, counters):
+            at[loop.axis] += c * step
+        m, ch, y, x = at[Axis.OF], at[Axis.IF], at[Axis.SY], at[Axis.SX]
+        ky, kx = at[Axis.FY], at[Axis.FX]
+        if m >= layer.c_out or ch >= layer.c_in \
+                or y >= layer.out_h or x >= layer.out_w:
+            continue
+        iterations += 1
+        elements = {"I": (ch, y * layer.stride + ky, x * layer.stride + kx),
+                    "W": (m, ch, ky, kx), "O": (m, y, x)}
+        for array, level in levels.items():
+            pairs[array].add((counters[level + 1:], elements[array]))
+    finals = len({e for _, e in pairs["O"]})
+    spills = len(pairs["O"]) - finals
+    return TraceStats(
+        loads_i=len(pairs["I"]), loads_w=len(pairs["W"]),
+        writes_o_partial=spills, reads_o_partial=spills,
+        writes_o_final=finals,
+        bytes_total=(layer.p_in * len(pairs["I"]) + layer.p_w * len(pairs["W"])
+                     + 2 * layer.p_acc * spills + layer.p_out * finals),
+        iterations=iterations)
+
+
+def _micro_cases(seed, count):
+    """Seeded micro nests: rectangular kernels, strides up to past the
+    kernel, tiles that need not divide, shuffled controlling loops, random
+    buffering levels and precisions."""
+    rng = random.Random(seed)
+    orderings = enumerate_permutations(prune=False)
+    for i in range(count):
+        k_h, k_w = rng.randrange(1, 4), rng.randrange(1, 4)
+        layer = LayerShape(
+            name=f"micro{i}", out_h=rng.randrange(1, 7),
+            out_w=rng.randrange(1, 7), k_h=k_h, k_w=k_w,
+            stride=rng.randrange(1, max(k_h, k_w) + 3),
+            c_in=rng.randrange(1, 5), c_out=rng.randrange(1, 5),
+            p_in=rng.randrange(1, 3), p_w=rng.randrange(1, 3),
+            p_acc=rng.randrange(1, 5) + 1)
+        full = (layer.c_out, layer.c_in, layer.out_h, layer.out_w)
+        tiles = Tiles(*(rng.randrange(1, e + 1) for e in full))
+        tiled = [a for a, e in zip(TILEABLE_AXES, full)
+                 if tiles.for_axis(a, layer) < e]
+        rng.shuffle(tiled)
+        sched = instantiate(rng.choice(orderings), tiles, layer,
+                            controlling=tuple(tiled) or None)
+        yield sched, BufferingAssignment(
+            *(rng.randrange(sched.n) for _ in range(3)))
+
+
+@pytest.mark.parametrize("chunk", [oracle._CHUNK, 64, 3])
+def test_simulate_matches_a_nested_loop_walk(chunk, monkeypatch):
+    # At 64 and 3 iterations a chunk, instances straddle chunks and single
+    # loops outrun a chunk, so the walk slices them.
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    for sched, asg in _micro_cases(21, 20):
+        assert simulate(sched, asg) == _walk(sched, asg), (sched, asg)
+    # One loop alone longer than a 64-iteration chunk.
+    layer = LayerShape(name="long", out_h=2, out_w=3, k_h=1, k_w=2,
+                       stride=3, c_in=70, c_out=2)
+    sched = instantiate((Axis.FX, Axis.FY, Axis.SX, Axis.SY, Axis.OF, Axis.IF),
+                        Tiles(2, 70, 1, 3), layer)
+    for levels in ((0, 0, 0), (4, 5, 3), (5, 6, 6), (6, 2, 4)):
+        asg = BufferingAssignment(*levels)
+        assert simulate(sched, asg) == _walk(sched, asg), levels
+
+
+def test_real_layer_winners_check_out():
+    # Inception-3-5, the smallest built-in layer: 5.3 M iterations a winner.
+    layer = find_builtin_layer("Inception-3-5")
+    budgets = (4096, 65536)
+    ev = evaluate_layer(layer, budgets)
+    for budget, res in zip(budgets, ev.results):
+        rep = validate(res.schedule, res.assignment)
+        assert rep.undercounts == (), budget
+        assert rep.model.total == res.report.total, budget
+        assert rep.oracle.iterations == layer.c_out * layer.c_in \
+            * layer.out_h * layer.out_w * layer.k_h * layer.k_w
+
+
+def test_oracle_checks_raise_under_python_O():
+    # `python -O` strips assert statements; the trace's own consistency
+    # checks must still fire.
+    script = textwrap.dedent("""
+        import dataclasses, sys
+        from convsched import (CrossCheckError, LayerShape, TraceStats,
+                               instantiate, oracle)
+        from convsched.model import Axis, BufferingAssignment, Tiles
+        if __debug__:
+            sys.exit("not running under -O")
+
+        def expect(error, fn, *args):
+            try:
+                fn(*args)
+            except error as e:
+                print(e)
+            else:
+                sys.exit(f"no {error.__name__}")
+
+        expect(ValueError, TraceStats, 1, 1, 2, 3, 4, 20, 9)
+        expect(ValueError, TraceStats, 1, -1, 0, 0, 4, 20, 9)
+
+        layer = LayerShape(name="tiny", out_h=6, out_w=6, k_h=3, k_w=3,
+                           stride=1, c_in=2, c_out=4)
+        order = (Axis.FX, Axis.FY, Axis.SX, Axis.SY, Axis.IF, Axis.OF)
+        sched = instantiate(order, Tiles(4, 2, 6, 6), layer)
+        asg = BufferingAssignment(5, 5, 5)
+
+        real_weights = oracle._element_weights
+        def one_output(layer):
+            weights = real_weights(layer)
+            weights["O"] = {}
+            return weights
+        oracle._element_weights = one_output
+        expect(CrossCheckError, oracle.simulate, sched, asg)
+        oracle._element_weights = real_weights
+
+        real_simulate = oracle.simulate
+        def off_by_one(*args, **kwargs):
+            stats = real_simulate(*args, **kwargs)
+            return dataclasses.replace(stats, bytes_total=stats.bytes_total + 1)
+        oracle.simulate = off_by_one
+        expect(CrossCheckError, oracle.validate, sched, asg)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 4, done.stdout
+    assert "partial-sum reads 3 differ from partial-sum writes 2" in lines[0]
+    assert "negative" in lines[1] and "loads_w" in lines[1]
+    assert "wrote 1 distinct output elements, the layer has 144" in lines[2]
+    assert "344 per array but 345 in total" in lines[3]

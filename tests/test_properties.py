@@ -1,7 +1,6 @@
 """Randomized invariants on desk-scale instances.
 
-Every sampler is seeded; failures reproduce.  The acceptance suite runs
-heavier versions of several of these across the built-in corpus.
+Every sampler is seeded; failures reproduce.
 """
 from __future__ import annotations
 
@@ -83,6 +82,27 @@ def test_buffer_size_monotone_in_level():
         for array in ("I", "W", "O"):
             sizes = [buffer_size(array, sched, l) for l in range(-1, sched.n)]
             assert sizes == sorted(sizes)
+
+
+def test_buffer_bytes_never_fall_as_the_level_moves_outward():
+    # A running minimum of traffic over levels in the search's bound step
+    # would rest on buffers never shrinking outward; check the bytes the
+    # scalar model reports, with strides past rectangular kernels,
+    # non-dividing tiles and shuffled controlling loops.
+    rng = random.Random(18)
+    orderings = enumerate_permutations(prune=False)
+    for _ in range(30):
+        layer = random_layer(rng, stride=(1, 2, 3, 4), kmax=4)
+        sched = random_schedule(rng, layer, orderings)
+        ctrl = list(sched.controlling_order())
+        rng.shuffle(ctrl)
+        sched = instantiate(sched.body_order(), sched.tiles, layer,
+                            controlling=tuple(ctrl) or None)
+        reports = [traffic(sched, BufferingAssignment(l, l, l))
+                   for l in range(sched.n)]
+        for part in ("b_in", "b_w", "b_o"):
+            sizes = [getattr(r, part) for r in reports]
+            assert sizes == sorted(sizes), (part, sched, sizes)
 
 
 def test_traffic_antitone_in_level_for_dense_windows():
