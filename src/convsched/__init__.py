@@ -11,156 +11,79 @@ of it as the `convsched` command.
 from __future__ import annotations
 
 from .layers import (
+    CrossCheckError,
     LayerShape,
     LayerSuite,
     ValidationError,
-    effective_input_extent,
     parse_layer_suite,
 )
 from .model import (
-    ARRAYS,
-    CONTROLLING_ORDER,
     Axis,
     BufferingAssignment,
-    Loop,
-    ReuseDescriptor,
     Schedule,
     Tiles,
     TrafficReport,
-    axis_full_extent,
-    buffer_size,
-    footprint,
+    ideal_report,
     ideal_traffic,
-    reuse_descriptor,
-    schedule_from_dict,
     schedule_from_json,
-    schedule_to_dict,
     schedule_to_json,
     traffic,
-    window_extent,
 )
-from .space import (
-    TILE_POLICY_MODES,
-    TILEABLE_AXES,
-    Ordering,
-    TilePolicy,
-    enumerate_permutations,
-    enumerate_tiles,
-    instantiate,
-)
+from .space import TilePolicy, enumerate_permutations, instantiate
 from .suites import (
     BUILTIN_SUITE_NAMES,
     all_builtin_layers,
     builtin_suite,
     find_builtin_layer,
 )
-from .oracle import (
-    OracleCapError,
-    TraceStats,
-    ValidationReport,
-    simulate,
-    validate,
-)
+from .oracle import OracleCapError, simulate, validate
 from .search import (
-    DISTRIBUTION_BINS,
-    MODEL_ORDER,
-    TIE_BREAK_DEFAULT,
-    AggregateRow,
-    CrossCheckError,
-    DistributionTable,
     LayerEvaluation,
     SearchConfig,
     SearchResult,
-    SweepResult,
-    SweepRow,
     best_schedule,
     distribution,
     distribution_from,
     evaluate_layer,
     evaluate_layers,
-    ideal_report,
     min_budget_for_ideal,
-    precompute_requirements,
     sweep,
-    worker_count,
 )
-from .baselines import (
-    PEEMEN_CASES,
-    PeemenCandidate,
-    cache_best,
-    cache_results,
-    peemen_best,
-    peemen_buffer,
-    peemen_traffic,
-)
+from .baselines import cache_best, cache_results, peemen_best
 from .casestudy import (
-    HWC_BODY,
-    HWC_LEVELS,
-    HWCE_BODY,
-    HWCE_LEVELS,
-    HwcConfig,
-    hwc_schedule,
-    hwce_schedule,
-    hwce_vs_hwc_ratio,
+    HwcConfig, hwc_schedule, hwce_schedule, hwce_vs_hwc_ratio,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARRAYS",
-    "AggregateRow",
     "Axis",
     "BUILTIN_SUITE_NAMES",
     "BufferingAssignment",
-    "CONTROLLING_ORDER",
     "CrossCheckError",
-    "DISTRIBUTION_BINS",
-    "DistributionTable",
-    "HWC_BODY",
-    "HWC_LEVELS",
-    "HWCE_BODY",
-    "HWCE_LEVELS",
     "HwcConfig",
     "LayerEvaluation",
     "LayerShape",
     "LayerSuite",
-    "Loop",
-    "MODEL_ORDER",
     "OracleCapError",
-    "Ordering",
-    "PEEMEN_CASES",
-    "PeemenCandidate",
-    "ReuseDescriptor",
     "Schedule",
     "SearchConfig",
     "SearchResult",
-    "SweepResult",
-    "SweepRow",
-    "TIE_BREAK_DEFAULT",
-    "TILEABLE_AXES",
-    "TILE_POLICY_MODES",
     "TilePolicy",
     "Tiles",
-    "TraceStats",
     "TrafficReport",
     "ValidationError",
-    "ValidationReport",
     "all_builtin_layers",
-    "axis_full_extent",
     "best_schedule",
-    "buffer_size",
     "builtin_suite",
     "cache_best",
     "cache_results",
     "distribution",
     "distribution_from",
-    "effective_input_extent",
     "enumerate_permutations",
-    "enumerate_tiles",
     "evaluate_layer",
     "evaluate_layers",
     "find_builtin_layer",
-    "footprint",
     "hwc_schedule",
     "hwce_schedule",
     "hwce_vs_hwc_ratio",
@@ -170,18 +93,10 @@ __all__ = [
     "min_budget_for_ideal",
     "parse_layer_suite",
     "peemen_best",
-    "peemen_buffer",
-    "peemen_traffic",
-    "precompute_requirements",
-    "reuse_descriptor",
-    "schedule_from_dict",
     "schedule_from_json",
-    "schedule_to_dict",
     "schedule_to_json",
     "simulate",
     "sweep",
     "traffic",
     "validate",
-    "window_extent",
-    "worker_count",
 ]

@@ -22,12 +22,13 @@ import numpy as np
 from .layers import LayerShape, ValidationError
 from .model import (
     Axis, BufferingAssignment, Schedule, Tiles, TrafficReport,
-    axis_full_extent, schedule_to_json, traffic, window_extent,
+    axis_full_extent, format_schedule, schedule_to_json, traffic,
+    window_extent,
 )
 from .search import (
     CrossCheckError, SearchResult, _HUGE, _build_tables, _check_int64_range,
-    _compact_levels, _compact_table, _layer_extents, _serialize_candidate,
-    _Staircase, _tile_vectors, precompute_requirements,
+    _compact_table, _layer_extents, _materialize, _Staircase, _tile_vectors,
+    precompute_requirements,
 )
 from .space import TilePolicy, enumerate_tiles, instantiate
 
@@ -167,10 +168,6 @@ def _peemen_embed(candidate: PeemenCandidate, layer: LayerShape
         level_i=levels["I"], level_w=levels["W"], level_o=levels["O"])
 
 
-def _peemen_serial(candidate: PeemenCandidate, layer: LayerShape) -> str:
-    return schedule_to_json(*_peemen_embed(candidate, layer))
-
-
 def peemen_best(layer: LayerShape, budget: int,
                 policy: TilePolicy | None = None) -> SearchResult:
     """Best baseline candidate over the four cases and the tile menus.
@@ -220,7 +217,7 @@ def peemen_best(layer: LayerShape, budget: int,
                 c = PeemenCandidate(case, Tiles(
                     int(mss_v[j]), int(css_v[j]), int(iss_v[j]), int(jss_v[j])))
                 key = (int(primary[j]), int(secondary[j]), int(acc[j]),
-                       _peemen_serial(c, layer), c)
+                       schedule_to_json(*_peemen_embed(c, layer)), c)
                 if out is None or key[3] < out[3]:
                     out = key
             return out
@@ -274,13 +271,13 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
     """
     if any(b <= 0 for b in budgets):
         raise ValidationError("budget must be positive")
-    table = precompute_requirements()
     menus = enumerate_tiles(layer, policy or TilePolicy())
     _check_int64_range(layer, menus)
     tiles = _tile_vectors(menus)
     extents = _layer_extents(layer, tiles)
     compact = _compact_table(extents)
     n_t = tiles[0].size
+    final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
 
     def levels_of(ids):
         c = compact[divmod(ids, n_t)]
@@ -289,11 +286,12 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
     stairs = _Staircase(budgets)
     fallback = None
     candidates = 0
-    for ordering in table.orderings:
-        plan = table.plan(ordering)
-        ws, tot, acc = _cache_tables(plan, layer, extents)
-        candidates += ws.size
-        ws_f, tot_f, acc_f = ws.reshape(-1), tot.reshape(-1), acc.reshape(-1)
+    for plan in precompute_requirements():
+        t_in, t_w, t_acc, b_in, b_w, b_o = _cache_tables(plan, layer, extents)
+        candidates += t_in.size
+        ws_f = (b_in + b_w + b_o).reshape(-1)
+        tot_f = (t_in + t_w + t_acc + final).reshape(-1)
+        acc_f = t_acc.reshape(-1)
 
         floor = int(ws_f.min())
         fb_ids = np.flatnonzero(ws_f == floor)
@@ -304,93 +302,65 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
 
         def decode(flat, plan=plan):
             k, t = divmod(flat, n_t)
-            tile = tuple(int(v[t]) for v in tiles)
-            serial = _serialize_candidate(plan.ordering, layer, *tile,
-                                          (k, k, k))
-            return serial, (plan, tile, k + 1)
+            level = int(compact[k, t])
+            serial = format_schedule(plan.ordering,
+                                     tuple(int(v[t]) for v in tiles),
+                                     (level, level, level))
+            return serial, (plan, flat)
 
         stairs.add(tot_f, ws_f, floor, acc_f.__getitem__, levels_of, decode)
+
+    def materialize(plan, flat, budget, engine):
+        """The candidate at `flat` of the plan's tables, its report rebuilt
+        from the tables of its tile alone."""
+        k, t = divmod(flat, n_t)
+        tile = tuple(int(v[t]) for v in tiles)
+        one = tuple(np.asarray([v], dtype=np.int64) for v in tile)
+        t_in, t_w, t_acc, b_in, b_w, b_o = (
+            int(part[k, 0])
+            for part in _cache_tables(plan, layer, _layer_extents(layer, one)))
+        report = TrafficReport(
+            t_in=t_in, t_w=t_w, t_o_acc=t_acc, t_o_final=final,
+            total=t_in + t_w + t_acc + final, b_in=b_in, b_w=b_w, b_o=b_o,
+            feasible=b_in + b_w + b_o <= budget)
+        level = int(compact[k, t])
+        return _materialize(layer, budget, candidates, plan.ordering, tile,
+                            (level, level, level), engine, report)
 
     out = []
     for budget, step in zip(budgets, stairs.winners):
         if step is not None:
-            _, (plan, tile, k) = step.best()
+            serial, (plan, flat) = step.best()
+            engine = (step.total, step.buffer, step.acc, serial)
         else:
             _, _, plan, flat = fallback
-            k = int(flat // n_t) + 1
-            tile = tuple(int(v[flat % n_t]) for v in tiles)
-        res = _cache_materialize(layer, budget, plan, tile, k, candidates)
-        if step is None and res.report.feasible:
-            raise CrossCheckError(
-                f"{layer.name} at budget {budget}: no cache working set was "
-                f"found to fit, but the smallest one ({res.report.buffer_bytes}"
-                f" B) does")
-        out.append(res)
+            engine = None
+        out.append(materialize(plan, flat, budget, engine))
     return out
 
 
 def _cache_tables(plan, layer: LayerShape, extents: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(working set, traffic, spill) bytes of one ordering, each (10, T).
+                  ) -> tuple[np.ndarray, ...]:
+    """Traffic and buffer bytes per array of one ordering, each (10, T).
 
-    Row k - 1 localizes the k innermost of the ten uniform positions.
+    (t_in, t_w, t_o_acc, b_in, b_w, b_o), where t_o_acc is the output
+    traffic less the final write.  Row k - 1 localizes the k innermost of
+    the ten uniform positions.
     """
     tabs = _build_tables(plan, layer, extents)
-    n_t = extents.shape[1]
     final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
-    ws = np.empty((10, n_t), dtype=np.int64)
-    tot = np.empty((10, n_t), dtype=np.int64)
-    acc = np.empty((10, n_t), dtype=np.int64)
-    for k in range(1, 11):
-        f_i, f_w, f_o = (tabs.ft[a][k] for a in ("I", "W", "O"))
-        trips = tabs.suffix[k - 1]
-        visits = f_o * trips
-        interrupted = np.zeros(n_t, dtype=bool)
-        for p, mask in tabs.carrier_masks["O"]:
-            if p >= k:
-                interrupted |= mask
-        o_bytes = np.where(interrupted, 2 * layer.p_acc * visits,
-                           layer.p_out * visits)
-        ws[k - 1] = layer.p_in * f_i + layer.p_w * f_w + layer.p_acc * f_o
-        tot[k - 1] = (layer.p_in * f_i + layer.p_w * f_w) * trips + o_bytes
-        acc[k - 1] = o_bytes - final
-    return ws, tot, acc
+    visits = tabs.ft["O"][1:] * tabs.suffix
+    interrupted = np.zeros(visits.shape, dtype=bool)
+    for p, mask in tabs.carrier_masks["O"]:
+        interrupted[:p] |= mask
+    t_acc = np.where(interrupted, 2 * layer.p_acc * visits,
+                     layer.p_out * visits) - final
+    b_in, b_w = layer.p_in * tabs.ft["I"][1:], layer.p_w * tabs.ft["W"][1:]
+    return (b_in * tabs.suffix, b_w * tabs.suffix, t_acc,
+            b_in, b_w, layer.p_acc * tabs.ft["O"][1:])
 
 
 def cache_best(layer: LayerShape, budget: int,
                policy: TilePolicy | None = None) -> SearchResult:
     """Best cache-model schedule for one budget; see cache_results."""
     return cache_results(layer, (budget,), policy)[0]
-
-
-def _cache_materialize(layer, budget, plan, tile, k, candidates
-                       ) -> SearchResult:
-    mss, css, iss, jss = tile
-    tiles_v = tuple(np.asarray([v], dtype=np.int64) for v in tile)
-    tabs = _build_tables(plan, layer, _layer_extents(layer, tiles_v))
-    f_i, f_w, f_o = (int(tabs.ft[a][k][0]) for a in ("I", "W", "O"))
-    trips = int(tabs.suffix[k - 1][0])
-    distinct = layer.c_out * layer.out_h * layer.out_w
-    final = layer.p_out * distinct
-    visits = f_o * trips
-    interrupted = any(bool(mask[0]) for p, mask in tabs.carrier_masks["O"]
-                      if p >= k)
-    if interrupted:
-        o_bytes = 2 * layer.p_acc * visits
-    else:
-        o_bytes = layer.p_out * visits
-    t_in = layer.p_in * f_i * trips
-    t_w = layer.p_w * f_w * trips
-    b_in, b_w, b_o = layer.p_in * f_i, layer.p_w * f_w, layer.p_acc * f_o
-    report = TrafficReport(
-        t_in=t_in, t_w=t_w, t_o_acc=o_bytes - final, t_o_final=final,
-        total=t_in + t_w + o_bytes, b_in=b_in, b_w=b_w, b_o=b_o,
-        feasible=b_in + b_w + b_o <= budget,
-    )
-    _, (li, lw, lo) = _compact_levels(layer, mss, css, iss, jss,
-                                      (k - 1, k - 1, k - 1))
-    schedule = instantiate(plan.ordering, Tiles(mss, css, iss, jss), layer)
-    assignment = BufferingAssignment(li, lw, lo)
-    return SearchResult(layer_name=layer.name, budget=budget,
-                        schedule=schedule, assignment=assignment,
-                        report=report, candidates=candidates)

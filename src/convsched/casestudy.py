@@ -14,7 +14,7 @@ import itertools
 
 from dataclasses import dataclass
 
-from .layers import LayerShape, LayerSuite, ValidationError
+from .layers import CrossCheckError, LayerShape, LayerSuite, ValidationError
 from .model import (
     Axis,
     BufferingAssignment,
@@ -110,7 +110,11 @@ def hwce_schedule(
         if tiles.for_axis(a, layer) < axis_full_extent(a, layer))
     schedule = instantiate(HWCE_BODY, tiles, layer, controlling=controlling)
     report = traffic(schedule, HWCE_LEVELS, config.budget)
-    assert report.feasible  # the sizing rule bounds every buffer term
+    if not report.feasible:  # the sizing rule bounds every buffer term
+        raise CrossCheckError(
+            f"{layer.name}: the HWCE sizing rule chose stripe width {jss}, "
+            f"but its buffers take {report.buffer_bytes} B of a "
+            f"{config.budget} B budget")
     return schedule, HWCE_LEVELS, report
 
 

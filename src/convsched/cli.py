@@ -19,8 +19,7 @@ from .layers import LayerShape, LayerSuite, ValidationError, parse_layer_suite
 from .model import schedule_from_json, schedule_to_json, traffic
 from .oracle import OracleCapError, validate
 from .search import (
-    DISTRIBUTION_BINS, MODEL_ORDER, SearchConfig, best_schedule, distribution,
-    sweep,
+    MODEL_ORDER, SearchConfig, best_schedule, distribution, sweep,
 )
 from .space import TILE_POLICY_MODES, TilePolicy
 from .suites import BUILTIN_SUITE_NAMES, builtin_suite
@@ -203,7 +202,7 @@ def cmd_search(args, out) -> int:
 
 def cmd_sweep(args, out) -> int:
     if args.suite:
-        suite = builtin_suite_checked(args.suite)
+        suite = builtin_suite(args.suite)
     elif args.layer_file:
         suite = _read_suite_file(args.layer_file)
     else:
@@ -237,13 +236,6 @@ def cmd_sweep(args, out) -> int:
     else:
         _emit_csv(out, rows)
     return 0
-
-
-def builtin_suite_checked(name: str) -> LayerSuite:
-    try:
-        return builtin_suite(name)
-    except KeyError as e:
-        raise ValidationError(e.args[0]) from e
 
 
 def cmd_validate(args, out) -> int:
@@ -287,7 +279,7 @@ def cmd_validate(args, out) -> int:
 
 def cmd_distribution(args, out) -> int:
     if args.suite:
-        layers = list(builtin_suite_checked(args.suite))
+        layers = list(builtin_suite(args.suite))
     elif args.layer_file:
         layers = list(_read_suite_file(args.layer_file))
     else:

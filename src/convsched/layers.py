@@ -100,11 +100,6 @@ class LayerShape:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def effective_input_extent(layer: LayerShape) -> tuple[int, int]:
-    """Pixels of input touched per dim: ((out-1)*stride + kernel) each way."""
-    return layer.eff_h, layer.eff_w
-
-
 @dataclass(frozen=True)
 class LayerSuite:
     """An ordered, uniquely named collection of layers."""

@@ -191,7 +191,11 @@ class ReuseDescriptor:
     distance: int
 
     def __post_init__(self) -> None:
-        assert self.carries == (self.distance > 1)
+        if self.carries != (self.distance > 1):
+            raise ValueError(
+                f"reuse descriptor says carries={self.carries} at distance "
+                f"{self.distance}; a loop carries exactly when the distance "
+                f"exceeds one")
 
 
 @dataclass(frozen=True)
@@ -318,11 +322,19 @@ def buffer_size(array: str, schedule: Schedule, level: int) -> int:
     return footprint(array, schedule, carrier - 1)
 
 
+def ideal_report(layer: LayerShape) -> TrafficReport:
+    """The reuse floor per array: every element crosses the boundary once."""
+    t_in = layer.p_in * layer.c_in * layer.eff_h * layer.eff_w
+    t_w = layer.p_w * layer.c_out * layer.c_in * layer.k_h * layer.k_w
+    t_o = layer.p_out * layer.c_out * layer.out_h * layer.out_w
+    return TrafficReport(t_in=t_in, t_w=t_w, t_o_acc=0, t_o_final=t_o,
+                         total=t_in + t_w + t_o, b_in=0, b_w=0, b_o=0,
+                         feasible=True)
+
+
 def ideal_traffic(layer: LayerShape) -> int:
     """Bytes moved when every array element crosses the boundary exactly once."""
-    return (layer.p_in * layer.c_in * layer.eff_h * layer.eff_w
-            + layer.p_w * layer.c_out * layer.c_in * layer.k_h * layer.k_w
-            + layer.p_out * layer.c_out * layer.out_h * layer.out_w)
+    return ideal_report(layer).total
 
 
 def traffic(schedule: Schedule, assignment: BufferingAssignment,
@@ -371,30 +383,41 @@ def traffic(schedule: Schedule, assignment: BufferingAssignment,
     )
 
 
-def _default_controlling(schedule_axes: set[Axis]) -> tuple[Axis, ...]:
-    # Innermost-first restriction of the fixed controlling order.
-    return tuple(a for a in reversed(CONTROLLING_ORDER) if a in schedule_axes)
+def default_controlling(axes) -> tuple[Axis, ...]:
+    """The fixed controlling order restricted to `axes`, innermost first."""
+    return tuple(a for a in reversed(CONTROLLING_ORDER) if a in axes)
 
 
-def schedule_to_dict(schedule: Schedule, assignment: BufferingAssignment) -> dict:
-    tiled = {l.axis for l in schedule.loops if not l.is_tile_loop}
-    doc = {
-        "order": [a.name for a in schedule.body_order()],
-        "tiles": {"mss": schedule.tiles.mss, "css": schedule.tiles.css,
-                  "iss": schedule.tiles.iss, "jss": schedule.tiles.jss},
-        "buffering": {"I": assignment.level_i, "W": assignment.level_w,
-                      "O": assignment.level_o},
-    }
-    actual = schedule.controlling_order()
-    if actual != _default_controlling(tiled):
-        doc["controlling"] = [a.name for a in actual]
-    return doc
+def format_schedule(order, tiles: tuple[int, int, int, int],
+                    levels: tuple[int, int, int],
+                    controlling: tuple[Axis, ...] | None = None) -> str:
+    """Canonical one-line serialization of a schedule from plain fields.
+
+    `order` lists the tile-body axes innermost first, `tiles` is (mss,
+    css, iss, jss) and `levels` the (I, W, O) buffering levels of the nest
+    without unit controlling loops.  `controlling` is given only when the
+    controlling loops depart from the default order.
+    """
+    doc = {"order": [a.name for a in order],
+           "tiles": dict(zip(("mss", "css", "iss", "jss"), tiles)),
+           "buffering": dict(zip(ARRAYS, levels))}
+    if controlling is not None:
+        doc["controlling"] = [a.name for a in controlling]
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def schedule_to_json(schedule: Schedule, assignment: BufferingAssignment) -> str:
     """Canonical one-line serialization; equal schedules compare equal as text."""
-    return json.dumps(schedule_to_dict(schedule, assignment),
-                      sort_keys=True, separators=(",", ":"))
+    t = schedule.tiles
+    actual = schedule.controlling_order()
+    return format_schedule(
+        schedule.body_order(), (t.mss, t.css, t.iss, t.jss),
+        (assignment.level_i, assignment.level_w, assignment.level_o),
+        None if actual == default_controlling(actual) else actual)
+
+
+def schedule_to_dict(schedule: Schedule, assignment: BufferingAssignment) -> dict:
+    return json.loads(schedule_to_json(schedule, assignment))
 
 
 def _parse_axis(name) -> Axis:
@@ -405,6 +428,7 @@ def _parse_axis(name) -> Axis:
 
 
 def schedule_from_dict(doc: dict, layer: LayerShape) -> tuple[Schedule, BufferingAssignment]:
+    from .space import instantiate  # space builds on this module
     if not isinstance(doc, dict):
         raise ValidationError("schedule document must be an object")
     unknown = set(doc) - {"order", "tiles", "buffering", "controlling"}
@@ -424,31 +448,18 @@ def schedule_from_dict(doc: dict, layer: LayerShape) -> tuple[Schedule, Bufferin
         jss=raw_tiles.get("jss", layer.out_w),
     )
 
-    tiled = {a for a in order if tiles.for_axis(a, layer) < axis_full_extent(a, layer)}
+    controlling = None
     if "controlling" in doc:
-        ctrl_axes = tuple(_parse_axis(a) for a in doc["controlling"])
-        if set(ctrl_axes) != tiled or len(ctrl_axes) != len(tiled):
-            raise ValidationError(
-                '"controlling" must list each tiled axis exactly once')
-    else:
-        ctrl_axes = _default_controlling(tiled)
-
-    loops = [Loop(a, tiles.for_axis(a, layer), True) for a in order]
-    for a in ctrl_axes:
-        trips = math.ceil(axis_full_extent(a, layer) / tiles.for_axis(a, layer))
-        loops.append(Loop(a, trips, False))
-    schedule = Schedule(loops=tuple(loops), tiles=tiles, layer=layer)
+        controlling = tuple(_parse_axis(a) for a in doc["controlling"])
+    schedule = instantiate(tuple(order), tiles, layer, controlling)
 
     raw_buf = doc.get("buffering", {})
     if not isinstance(raw_buf, dict) or set(raw_buf) != {"I", "W", "O"}:
         raise ValidationError('"buffering" must map I, W, and O to loop levels')
-    levels = {}
     for key, v in raw_buf.items():
         if not isinstance(v, int):
             raise ValidationError(f"buffering level for {key} must be an integer")
-        levels[key] = v
-    assignment = BufferingAssignment(
-        level_i=levels["I"], level_w=levels["W"], level_o=levels["O"])
+    assignment = BufferingAssignment(*(raw_buf[a] for a in ARRAYS))
     assignment.check(schedule)
     return schedule, assignment
 

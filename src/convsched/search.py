@@ -1,15 +1,14 @@
 """Exhaustive schedule search: permutations x tilings x buffering levels.
 
-The search has two steps, the second of which prunes before it
-evaluates.  Step one (precompute_requirements) derives, per loop
-ordering, the layer-independent structure of the candidate space: which
-positions multiply into each array's footprint, which positions can
-carry reuse of each array, and the short list of buffering levels worth
-considering (raising a level between two carriers never changes the
-buffer but never increases traffic, so only the level just under each
-carrier, and the top, can win).
+Each loop ordering has a plan (_make_plan, memoized;
+precompute_requirements returns them all): the layer-independent
+structure of its candidate space, namely which positions can carry reuse
+of each array and the short list of buffering levels worth considering
+(raising a level between two carriers never changes the buffer but never
+increases traffic, so only the level just under each carrier, and the
+top, can win).
 
-Step two evaluates that structure for a concrete layer with vectorized
+The search evaluates that structure for a concrete layer with vectorized
 integer arithmetic.  It first prices each array's candidate levels on
 every tile choice, then bounds and prunes: per tile, the cheapest level
 of each array that leaves room for the other two arrays' least buffers
@@ -27,7 +26,8 @@ Every nest is laid out on ten fixed positions: the six tile-body loops of
 the ordering innermost-first, then controlling loops for SX, SY, IF, OF.
 Untiled axes keep their controlling position with a trip count of one,
 which never carries reuse and multiplies nothing, so the uniform layout is
-exact; reported winners drop those unit loops again.
+exact; reported winners drop those unit loops again, their levels
+remapped by one table per layer (_compact_table).
 
 All traffic numbers here are exact int64; winners are re-materialized
 through the scalar model as a cross-check before being reported.
@@ -35,7 +35,7 @@ through the scalar model as a cross-check before being reported.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 import os
 from collections.abc import Callable
@@ -45,9 +45,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import CrossCheckError, LayerShape, LayerSuite, ValidationError
+from .casestudy import HwcConfig, hwc_schedule, hwce_schedule
 from .model import (
     Axis, BufferingAssignment, Schedule, Tiles, TrafficReport,
-    axis_full_extent, ideal_traffic, schedule_to_json, traffic,
+    axis_full_extent, format_schedule, ideal_report, ideal_traffic,
+    schedule_to_json, traffic,
 )
 from .space import (
     Ordering, TilePolicy, enumerate_permutations, enumerate_tiles, instantiate,
@@ -69,25 +71,18 @@ _AXIS_ROW = {Axis.OF: 0, Axis.IF: 1, Axis.SY: 2, Axis.SX: 3,
 _W_DIMS = {Axis.FX, Axis.FY, Axis.IF, Axis.OF}
 _O_DIMS = {Axis.SX, Axis.SY, Axis.OF}
 
-MODEL_ORDER = ("ours", "peemen", "cache", "hwc", "hwce", "ideal")
-
-TIE_BREAK_DEFAULT = "traffic,buffer,acc,serial"
-
 
 @dataclass(frozen=True)
 class SearchConfig:
     budgets: tuple[int, ...] = tuple(1024 * 2 ** k for k in range(10))
     tile_policy: TilePolicy = field(default_factory=TilePolicy)
     prune: bool = True
-    tie_break: str = TIE_BREAK_DEFAULT
 
     def __post_init__(self) -> None:
         if not self.budgets or list(self.budgets) != sorted(set(self.budgets)):
             raise ValidationError("budgets must be ascending, unique, and non-empty")
         if self.budgets[0] <= 0:
             raise ValidationError("budgets must be positive")
-        if self.tie_break != TIE_BREAK_DEFAULT:
-            raise ValidationError(f"unknown tie-break rule {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -123,11 +118,8 @@ class OrderingPlan:
     # Row of the layer's stacked extents at each of the ten positions.
     rows: tuple[int, ...]
 
-    @property
-    def body_pos(self) -> dict[Axis, int]:
-        return {a: i for i, a in enumerate(self.ordering)}
 
-
+@functools.cache
 def _make_plan(ordering: Ordering) -> OrderingPlan:
     pos = {a: i for i, a in enumerate(ordering)}
     carriers = {
@@ -149,29 +141,12 @@ def _make_plan(ordering: Ordering) -> OrderingPlan:
     )
 
 
-_PLANS: dict[Ordering, OrderingPlan] = {}
-
-
-@dataclass(frozen=True)
-class RequirementTable:
-    """Memoized per-ordering plans; structure is layer-independent."""
-
-    orderings: tuple[Ordering, ...]
-
-    def plan(self, ordering: Ordering) -> OrderingPlan:
-        if ordering not in _PLANS:
-            _PLANS[ordering] = _make_plan(ordering)
-        return _PLANS[ordering]
-
-
 def precompute_requirements(orderings: tuple[Ordering, ...] | None = None,
-                            prune: bool = True) -> RequirementTable:
+                            prune: bool = True) -> tuple[OrderingPlan, ...]:
+    """The plan of each ordering; all of them (pruned by default) if None."""
     if orderings is None:
         orderings = enumerate_permutations(prune)
-    table = RequirementTable(orderings=tuple(orderings))
-    for o in table.orderings:
-        table.plan(o)
-    return table
+    return tuple(_make_plan(o) for o in orderings)
 
 
 @dataclass
@@ -326,40 +301,12 @@ def _o_acc_table(tabs: _Tables, plan: OrderingPlan, layer: LayerShape
     return 2 * layer.p_acc * distinct * (out - 1)
 
 
-def _compact_levels(layer: LayerShape, mss: int, css: int, iss: int, jss: int,
-                    levels10: tuple[int, int, int]) -> tuple[list[Axis], tuple[int, int, int]]:
-    """Drop unit controlling loops; remap ten-slot levels onto what's left."""
-    trips = {
-        _POS_TSX: -(-layer.out_w // jss), _POS_TSY: -(-layer.out_h // iss),
-        _POS_TIF: -(-layer.c_in // css), _POS_TOF: -(-layer.c_out // mss),
-    }
-    kept = list(range(6)) + [p for p in (6, 7, 8, 9) if trips[p] > 1]
-    ctrl = [_CTRL_AXIS[p] for p in (6, 7, 8, 9) if trips[p] > 1]
-
-    def remap(lvl: int) -> int:
-        return sum(1 for q in kept if q <= lvl) - 1
-
-    return ctrl, tuple(remap(l) for l in levels10)
-
-
-def _serialize_candidate(ordering: Ordering, layer: LayerShape,
-                         mss: int, css: int, iss: int, jss: int,
-                         levels10: tuple[int, int, int]) -> str:
-    _, (li, lw, lo) = _compact_levels(layer, mss, css, iss, jss, levels10)
-    doc = {
-        "order": [a.name for a in ordering],
-        "tiles": {"mss": mss, "css": css, "iss": iss, "jss": jss},
-        "buffering": {"I": li, "W": lw, "O": lo},
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def _compact_table(extents: np.ndarray) -> np.ndarray:
     """(10, T): the compacted level of each ten-slot level per tile combo.
 
-    The vectorized _compact_levels over a layer's stacked extents: a body
-    position keeps its index, a controlling position lands after the
-    controlling loops up to it that run more than once.
+    Compaction drops the controlling loops that run once: a body position
+    keeps its index, a controlling position lands after the controlling
+    loops up to it that run more than once.
     """
     out = np.empty_like(extents)
     out[:6] = np.arange(6)[:, None]
@@ -603,13 +550,15 @@ def _survivors(arrays: _Arrays, reach: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _first_least(arrays: _Arrays) -> tuple[int, int, int]:
-    """(flat index, buffer, traffic) of the first least-buffer candidate.
+def _first_least(arrays: _Arrays
+                 ) -> tuple[int, int, tuple[int, int, int], int]:
+    """(buffer, traffic, level indices, tile) of the first least-buffer
+    candidate.
 
-    The flat index is into the full (nI, nW, nO, T) cross product, and the
-    candidate is the one its argmin would find, derived from the per-array
-    least buffers without building the product: the least level of each
-    array in turn among tiles still at the floor, then the least tile.
+    The candidate is the one an argmin over the full (nI, nW, nO, T) cross
+    product would find, derived from the per-array least buffers without
+    building the product: the least level of each array in turn among
+    tiles still at the floor, then the least tile.
     """
     least = [w.min(axis=0) for _, w in arrays]
     floors = sum(least)
@@ -620,11 +569,9 @@ def _first_least(arrays: _Arrays) -> tuple[int, int, int]:
         levels.append(int(np.flatnonzero(at.any(axis=1))[0]))
         cols = at[levels[-1]]
     t = int(np.flatnonzero(cols)[0])
-    shape = tuple(w.shape[0] for _, w in arrays) + (cols.size,)
-    flat = int(np.ravel_multi_index((*levels, t), shape))
     buffer = sum(int(w[l, t]) for (_, w), l in zip(arrays, levels))
     total = sum(int(v[l, t]) for (v, _), l in zip(arrays, levels))
-    return flat, buffer, total
+    return buffer, total, tuple(levels), t
 
 
 def _check_int64_range(layer: LayerShape,
@@ -655,23 +602,35 @@ def _check_int64_range(layer: LayerShape,
             f"search's 64-bit arithmetic (limit {_HUGE})")
 
 
-def _materialize(step: _Step, layer: LayerShape, budget: int | None,
-                 candidates: int) -> SearchResult:
-    serial, (ordering, tiles, levels10) = step.best()
-    mss, css, iss, jss = tiles
-    _, (li, lw, lo) = _compact_levels(layer, mss, css, iss, jss, levels10)
-    schedule = instantiate(ordering, Tiles(mss, css, iss, jss), layer)
-    assignment = BufferingAssignment(level_i=li, level_w=lw, level_o=lo)
-    report = traffic(schedule, assignment, budget)
-    # The scalar model arbitrates: the engine must agree exactly.
-    scalar = (report.total, report.buffer_bytes, report.t_o_acc,
-              schedule_to_json(schedule, assignment))
-    engine = (step.total, step.buffer, step.acc, serial)
-    if scalar != engine:
+def _materialize(layer: LayerShape, budget: int, candidates: int,
+                 ordering: Ordering, tile: tuple[int, int, int, int],
+                 levels: tuple[int, int, int], engine: tuple | None,
+                 report: TrafficReport | None = None) -> SearchResult:
+    """One candidate as a result, checked against the model that prices it.
+
+    `levels` are the candidate's compacted (I, W, O) buffering levels.  The
+    report is the scalar model's unless one is given.  A winner's `engine`
+    numbers (total, buffer, spill, serialization) must be the report's and
+    the schedule's exactly.  Without them the candidate is the smallest
+    buffer, reported where nothing fits, and it must not fit either.
+    """
+    schedule = instantiate(ordering, Tiles(*tile), layer)
+    assignment = BufferingAssignment(*levels)
+    if report is None:
+        report = traffic(schedule, assignment, budget)
+    if engine is not None:
+        priced = (report.total, report.buffer_bytes, report.t_o_acc,
+                  schedule_to_json(schedule, assignment))
+        if priced != engine:
+            raise CrossCheckError(
+                f"{layer.name} at budget {budget}: the model prices the "
+                f"engine's winner as (total, buffer, spill, serial) = "
+                f"{priced}, the engine as {engine}")
+    elif report.feasible:
         raise CrossCheckError(
-            f"{layer.name} at budget {budget}: the scalar model prices the "
-            f"engine's winner as (total, buffer, spill, serial) = {scalar}, "
-            f"the engine as {engine}")
+            f"{layer.name} at budget {budget}: the engine found nothing that "
+            f"fits, but the model fits its smallest buffer "
+            f"({report.buffer_bytes} B)")
     return SearchResult(layer_name=layer.name, budget=budget,
                         schedule=schedule, assignment=assignment,
                         report=report, candidates=candidates)
@@ -696,8 +655,7 @@ def evaluate_layer(layer: LayerShape,
     smallest-buffer candidate is reported as infeasible.
     """
     policy = policy or TilePolicy()
-    table = precompute_requirements(orderings, prune)
-    orderings = table.orderings
+    plans = precompute_requirements(orderings, prune)
     menus = enumerate_tiles(layer, policy)
     _check_int64_range(layer, menus)
     tiles = _tile_vectors(menus)
@@ -706,19 +664,27 @@ def evaluate_layer(layer: LayerShape,
     n_t = extents.shape[1]
     budgets_v = np.asarray(budgets, dtype=np.int64)
 
+    def candidate(plan: OrderingPlan, idx, t: int):
+        """(serialization, _materialize arguments) of the (I, W, O) level
+        indices `idx` into the plan's candidate levels, on tile column t."""
+        levels = tuple(int(compact[plan.cand_levels[a][n], t])
+                       for a, n in zip(("I", "W", "O"), idx))
+        tile = tuple(int(v[t]) for v in tiles)
+        return (format_schedule(plan.ordering, tile, levels),
+                (plan.ordering, tile, levels))
+
     stairs = _Staircase(budgets)
-    ordering_best = np.full((len(orderings), len(budgets)), -1, dtype=np.int64)
+    ordering_best = np.full((len(plans), len(budgets)), -1, dtype=np.int64)
     fallback: tuple | None = None  # smallest-buffer candidate overall
     candidates = 0
 
-    for oi, ordering in enumerate(orderings):
-        plan = table.plan(ordering)
+    for oi, plan in enumerate(plans):
         arrays = _byte_tables(plan, layer, extents)
         candidates += math.prod(w.shape[0] for _, w in arrays) * n_t
 
-        flat, floor, total = _first_least(arrays)
+        floor, total, idx, t = _first_least(arrays)
         if fallback is None or (floor, total) < fallback[:2]:
-            fallback = (floor, total, oi, flat)
+            fallback = (floor, total, plan, idx, t)
         reach = np.unique(budgets_v[budgets_v >= floor])
         if reach.size == 0:
             continue
@@ -739,13 +705,9 @@ def evaluate_layer(layer: LayerShape,
                              compact[levels[2][k], t],
                              compact[levels[1][j], t]])
 
-        def decode(flat, ordering=ordering, levels=levels, cols=cols,
-                   shape=shape):
-            i, j, k, c = np.unravel_index(flat, shape)
-            tile = tuple(int(v[cols[c]]) for v in tiles)
-            lv = (int(levels[0][i]), int(levels[1][j]), int(levels[2][k]))
-            serial = _serialize_candidate(ordering, layer, *tile, lv)
-            return serial, (ordering, tile, lv)
+        def decode(flat, plan=plan, cols=cols, shape=shape):
+            *idx, c = np.unravel_index(flat, shape)
+            return candidate(plan, idx, cols[c])
 
         ordering_best[oi] = stairs.add(st.reshape(-1), sb.reshape(-1), floor,
                                        acc_of, levels_of, decode)
@@ -753,40 +715,17 @@ def evaluate_layer(layer: LayerShape,
     results = []
     for budget, step in zip(budgets, stairs.winners):
         if step is not None:
-            results.append(_materialize(step, layer, budget, candidates))
+            serial, args = step.best()
+            engine = (step.total, step.buffer, step.acc, serial)
         else:
-            results.append(_materialize_fallback(fallback, table, layer,
-                                                 budget, tiles, candidates))
+            _, args = candidate(*fallback[2:])
+            engine = None
+        results.append(_materialize(layer, budget, candidates, *args, engine))
     return LayerEvaluation(
         layer=layer, budgets=tuple(budgets), results=tuple(results),
-        orderings=orderings, ordering_best=ordering_best,
-        candidates=candidates,
+        orderings=tuple(p.ordering for p in plans),
+        ordering_best=ordering_best, candidates=candidates,
     )
-
-
-def _materialize_fallback(fallback, table, layer, budget, tiles, candidates
-                          ) -> SearchResult:
-    """No candidate fits: report the smallest-buffer one as infeasible."""
-    _, _, oi, flat = fallback
-    ordering = table.orderings[oi]
-    plan = table.plan(ordering)
-    cand = plan.cand_levels
-    shape = (len(cand["I"]), len(cand["W"]), len(cand["O"]), tiles[0].size)
-    i, j, k, t = np.unravel_index(flat, shape)
-    mss, css, iss, jss = (int(v[t]) for v in tiles)
-    lv = (cand["I"][i], cand["W"][j], cand["O"][k])
-    _, (li, lw, lo) = _compact_levels(layer, mss, css, iss, jss, lv)
-    schedule = instantiate(ordering, Tiles(mss, css, iss, jss), layer)
-    assignment = BufferingAssignment(li, lw, lo)
-    report = traffic(schedule, assignment, budget)
-    if report.feasible:
-        raise CrossCheckError(
-            f"{layer.name} at budget {budget}: the engine found nothing that "
-            f"fits, but the scalar model fits its smallest buffer "
-            f"({report.buffer_bytes} B)")
-    return SearchResult(layer_name=layer.name, budget=budget,
-                        schedule=schedule, assignment=assignment,
-                        report=report, candidates=candidates)
 
 
 def best_schedule(layer: LayerShape, budget: int,
@@ -812,7 +751,6 @@ def min_budget_for_ideal(layer: LayerShape,
     above it.
     """
     policy = policy or TilePolicy()
-    table = precompute_requirements(None, prune)
     menus = enumerate_tiles(layer, policy)
     _check_int64_range(layer, menus)
     extents = _layer_extents(layer, _tile_vectors(menus))
@@ -824,8 +762,8 @@ def min_budget_for_ideal(layer: LayerShape,
         at = sb[st == ideal]
         return int(at.min()) if at.size else _HUGE
 
-    for ordering in table.orderings:
-        arrays = _byte_tables(table.plan(ordering), layer, extents)
+    for plan in precompute_requirements(None, prune):
+        arrays = _byte_tables(plan, layer, extents)
         bound = _lower_bound([(w, v) for v, w in arrays],
                              np.asarray([ideal], dtype=np.int64))[0]
         probe = np.argsort(bound, kind="stable")[:_PROBE]
@@ -835,16 +773,6 @@ def min_budget_for_ideal(layer: LayerShape,
     if least >= _HUGE:
         raise ValidationError("ideal traffic unreachable under this tile policy")
     return least
-
-
-def ideal_report(layer: LayerShape) -> TrafficReport:
-    """The per-array decomposition of the reuse floor, as a report row."""
-    t_in = layer.p_in * layer.c_in * layer.eff_h * layer.eff_w
-    t_w = layer.p_w * layer.c_out * layer.c_in * layer.k_h * layer.k_w
-    t_o = layer.p_out * layer.c_out * layer.out_h * layer.out_w
-    return TrafficReport(t_in=t_in, t_w=t_w, t_o_acc=0, t_o_final=t_o,
-                         total=t_in + t_w + t_o, b_in=0, b_w=0, b_o=0,
-                         feasible=True)
 
 
 # ---------------------------------------------------------------------------
@@ -919,44 +847,49 @@ class SweepResult:
     aggregates: tuple[AggregateRow, ...]
 
 
+# Per model, fn(layer, budgets, policy, prune) -> per budget (schedule,
+# assignment, report, candidate count); the schedule is None where the
+# model has none.  baselines builds on this module, so it is imported late.
+
+def _unpack(results) -> list[tuple]:
+    return [(r.schedule, r.assignment, r.report, r.candidates) for r in results]
+
+
+def _ours(layer, budgets, policy, prune):
+    return _unpack(evaluate_layer(layer, budgets, policy, prune).results)
+
+
+def _peemen(layer, budgets, policy, prune):
+    from .baselines import peemen_best
+    return _unpack(peemen_best(layer, b, policy) for b in budgets)
+
+
+def _cache(layer, budgets, policy, prune):
+    from .baselines import cache_results
+    return _unpack(cache_results(layer, budgets, policy))
+
+
+def _hwc(layer, budgets, policy, prune):
+    return [(*hwc_schedule(layer, HwcConfig(budget=b)), 0) for b in budgets]
+
+
+def _hwce(layer, budgets, policy, prune):
+    return [(*hwce_schedule(layer, HwcConfig(budget=b)), 0) for b in budgets]
+
+
+_MODELS = {"ours": _ours, "peemen": _peemen, "cache": _cache,
+           "hwc": _hwc, "hwce": _hwce}
+
+MODEL_ORDER = (*_MODELS, "ideal")
+
+
 def _sweep_task(args) -> list[tuple[TrafficReport | None, str | None, int]]:
     """Per-budget (report, schedule serialization, candidate count) rows."""
     layer, model, budgets, policy, prune = args
-    if model == "ours":
-        ev = evaluate_layer(layer, budgets, policy, prune)
-        return [(r.report, schedule_to_json(r.schedule, r.assignment),
-                 r.candidates) for r in ev.results]
-    if model == "peemen":
-        from . import baselines
-        return [_result_row(baselines.peemen_best(layer, b, policy))
-                for b in budgets]
-    if model == "cache":
-        from . import baselines
-        return [_result_row(r)
-                for r in baselines.cache_results(layer, budgets, policy)]
-    if model == "hwc":
-        from . import casestudy
-        out = []
-        for b in budgets:
-            cfg = casestudy.HwcConfig(budget=b)
-            sch, asg, rep = casestudy.hwc_schedule(layer, cfg)
-            out.append((rep, schedule_to_json(sch, asg), 0))
-        return out
-    if model == "hwce":
-        from . import casestudy
-        out = []
-        for b in budgets:
-            cfg = casestudy.HwcConfig(budget=b)
-            sch, asg, rep = casestudy.hwce_schedule(layer, cfg)
-            serial = schedule_to_json(sch, asg) if sch is not None else None
-            out.append((rep, serial, 0))
-        return out
-    raise ValidationError(f"unknown model {model!r}")
-
-
-def _result_row(res: SearchResult):
-    return (res.report, schedule_to_json(res.schedule, res.assignment),
-            res.candidates)
+    return [(report, None if schedule is None
+             else schedule_to_json(schedule, assignment), candidates)
+            for schedule, assignment, report, candidates
+            in _MODELS[model](layer, budgets, policy, prune)]
 
 
 def sweep(suite: LayerSuite, config: SearchConfig | None = None,

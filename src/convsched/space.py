@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .layers import LayerShape, ValidationError
 from .model import (
-    CONTROLLING_ORDER, Axis, Loop, Schedule, Tiles, axis_full_extent,
+    Axis, Loop, Schedule, Tiles, axis_full_extent, default_controlling,
 )
 
 Ordering = tuple[Axis, ...]
@@ -111,14 +111,11 @@ def instantiate(ordering: Ordering, tiles: Tiles, layer: LayerShape,
     tiled = {a for a in TILEABLE_AXES
              if tiles.for_axis(a, layer) < axis_full_extent(a, layer)}
     if controlling is None:
-        ctrl_axes: tuple[Axis, ...] = tuple(
-            a for a in reversed(CONTROLLING_ORDER) if a in tiled)
-    else:
-        if set(controlling) != tiled or len(controlling) != len(tiled):
-            raise ValidationError(
-                "controlling order must cover exactly the tiled axes")
-        ctrl_axes = tuple(controlling)
-    for a in ctrl_axes:
+        controlling = default_controlling(tiled)
+    elif set(controlling) != tiled or len(controlling) != len(tiled):
+        raise ValidationError(
+            "controlling loops must list each tiled axis exactly once")
+    for a in controlling:
         trips = math.ceil(axis_full_extent(a, layer) / tiles.for_axis(a, layer))
         loops.append(Loop(a, trips, False))
     return Schedule(loops=tuple(loops), tiles=tiles, layer=layer)

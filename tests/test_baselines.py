@@ -10,8 +10,6 @@ import pytest
 
 from convsched import (
     LayerShape,
-    PEEMEN_CASES,
-    PeemenCandidate,
     SearchConfig,
     Tiles,
     ValidationError,
@@ -20,6 +18,10 @@ from convsched import (
     evaluate_layer,
     ideal_traffic,
     peemen_best,
+)
+from convsched.baselines import (
+    PEEMEN_CASES,
+    PeemenCandidate,
     peemen_buffer,
     peemen_traffic,
 )

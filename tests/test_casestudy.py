@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from convsched import (
     Axis,
     BufferingAssignment,
-    HWC_BODY,
-    HWC_LEVELS,
-    HWCE_LEVELS,
     HwcConfig,
     LayerShape,
     LayerSuite,
@@ -19,6 +22,7 @@ from convsched import (
     ideal_traffic,
     simulate,
 )
+from convsched.casestudy import HWC_BODY, HWC_LEVELS, HWCE_LEVELS
 from conftest import make_tiny
 
 
@@ -129,3 +133,39 @@ def test_ratio_grows_with_cross_map_traffic():
     assert rows["single"] < 1
     _, _, hwce_rep = hwce_schedule(single, HwcConfig())
     assert hwce_rep.total == ideal_traffic(single) == 173
+
+
+def test_hwce_sizing_check_raises_under_python_O():
+    # `python -O` strips assert statements; a stripe the sizing rule picked
+    # whose buffers the model finds over budget must still be refused.
+    script = textwrap.dedent("""
+        import dataclasses, sys
+        from convsched import CrossCheckError, LayerShape, casestudy
+        if __debug__:
+            sys.exit("not running under -O")
+        real = casestudy.traffic
+
+        def overfull(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            return dataclasses.replace(rep, b_in=rep.b_in + 4096,
+                                       feasible=False)
+
+        casestudy.traffic = overfull
+        layer = LayerShape(name="tiny", out_h=6, out_w=6, k_h=3, k_w=3,
+                           stride=1, c_in=2, c_out=4)
+        try:
+            casestudy.hwce_schedule(layer, casestudy.HwcConfig(budget=1024))
+        except CrossCheckError as e:
+            print(e)
+        else:
+            sys.exit("no CrossCheckError")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "tiny: the HWCE sizing rule chose stripe width" in done.stdout
+    assert "of a 1024 B budget" in done.stdout

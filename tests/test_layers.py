@@ -4,19 +4,14 @@ import json
 
 import pytest
 
-from convsched import (
-    LayerShape,
-    ValidationError,
-    effective_input_extent,
-    parse_layer_suite,
-)
+from convsched import LayerShape, ValidationError, parse_layer_suite
 from conftest import make_tiny
 
 
 def test_effective_extent_derivation():
     tiny = make_tiny()
     # (6-1)*1 + 3 = 8 per dim.
-    assert effective_input_extent(tiny) == (8, 8)
+    assert (tiny.eff_h, tiny.eff_w) == (8, 8)
     assert tiny.eff_h == 8 and tiny.eff_w == 8
     # in_h/in_w default to the effective extent when not given.
     assert (tiny.in_h, tiny.in_w) == (8, 8)
@@ -27,7 +22,7 @@ def test_effective_extent_can_exceed_nominal_input():
     # though the nominal map is 55; the overhang is padding, still fetched.
     layer = LayerShape(name="a2", out_h=27, out_w=27, k_h=5, k_w=5,
                        stride=2, c_in=96, c_out=256, in_h=55, in_w=55)
-    assert effective_input_extent(layer) == (57, 57)
+    assert (layer.eff_h, layer.eff_w) == (57, 57)
     assert (layer.in_h, layer.in_w) == (55, 55)
 
 

@@ -19,18 +19,20 @@ from convsched import (
     Axis,
     BufferingAssignment,
     LayerShape,
-    Loop,
     Schedule,
     Tiles,
     ValidationError,
-    buffer_size,
-    footprint,
     ideal_traffic,
-    reuse_descriptor,
     schedule_from_json,
-    schedule_to_dict,
     schedule_to_json,
     traffic,
+)
+from convsched.model import (
+    Loop,
+    buffer_size,
+    footprint,
+    reuse_descriptor,
+    schedule_to_dict,
     window_extent,
 )
 from conftest import CANONICAL_ORDER, make_tiny, untiled
@@ -314,3 +316,30 @@ def test_report_parts_must_add_up_under_python_O():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "total 345 is not the sum of its parts 344" in done.stdout
+
+
+def test_reuse_descriptor_must_agree_under_python_O():
+    # `python -O` strips assert statements; a descriptor whose carry flag
+    # disagrees with its distance must still be refused.
+    script = textwrap.dedent("""
+        import sys
+        from convsched.model import ReuseDescriptor
+        if __debug__:
+            sys.exit("not running under -O")
+        for carries, distance in ((True, 1), (False, 3)):
+            try:
+                ReuseDescriptor(carries=carries, distance=distance)
+            except ValueError as e:
+                print(e)
+            else:
+                sys.exit(f"carries={carries} at distance {distance} accepted")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "carries=True at distance 1" in done.stdout
+    assert "carries=False at distance 3" in done.stdout

@@ -16,7 +16,6 @@ from convsched import (
     LayerShape,
     OracleCapError,
     Tiles,
-    TraceStats,
     enumerate_permutations,
     evaluate_layer,
     find_builtin_layer,
@@ -25,6 +24,7 @@ from convsched import (
     simulate,
     validate,
 )
+from convsched.oracle import TraceStats
 from convsched.space import TILEABLE_AXES
 from conftest import CANONICAL_ORDER, make_tiny, untiled
 
@@ -207,8 +207,8 @@ def test_oracle_checks_raise_under_python_O():
     # checks must still fire.
     script = textwrap.dedent("""
         import dataclasses, sys
-        from convsched import (CrossCheckError, LayerShape, TraceStats,
-                               instantiate, oracle)
+        from convsched import CrossCheckError, LayerShape, instantiate, oracle
+        from convsched.oracle import TraceStats
         from convsched.model import Axis, BufferingAssignment, Tiles
         if __debug__:
             sys.exit("not running under -O")

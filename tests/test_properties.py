@@ -11,7 +11,6 @@ from convsched import (
     BufferingAssignment,
     LayerShape,
     Tiles,
-    buffer_size,
     enumerate_permutations,
     evaluate_layer,
     ideal_traffic,
@@ -19,6 +18,7 @@ from convsched import (
     simulate,
     traffic,
 )
+from convsched.model import buffer_size
 
 
 def random_layer(rng, stride=(1, 2), kmax=3):

@@ -39,9 +39,9 @@ from convsched import (
     min_budget_for_ideal,
     schedule_to_json,
     traffic,
-    worker_count,
 )
 from convsched import baselines, search
+from convsched.search import worker_count
 from convsched.space import enumerate_tiles
 from conftest import make_tiny
 
@@ -207,8 +207,6 @@ def test_search_config_validation():
         SearchConfig(budgets=())
     with pytest.raises(ValidationError):
         SearchConfig(budgets=(0, 512))
-    with pytest.raises(ValidationError):
-        SearchConfig(tie_break="buffer,traffic")
 
 
 def test_worker_count_env_override(monkeypatch):
@@ -414,17 +412,30 @@ def _least(candidates, budgets, serial):
     return best, per_ordering, least_buffer
 
 
+def _serial(layer, ordering, tile, levels10):
+    """The scalar model's serialization of a candidate given by its levels
+    in the ten-slot nest, whose controlling trips sit at slots 6-9 (SX, SY,
+    IF, OF); a level keeps its place less the unit loops at or under it."""
+    mss, css, iss, jss = tile
+    trips = (-(-layer.out_w // jss), -(-layer.out_h // iss),
+             -(-layer.c_in // css), -(-layer.c_out // mss))
+    levels = (int(lvl) - sum(n == 1 for n in trips[:max(lvl - 5, 0)])
+              for lvl in levels10)
+    return schedule_to_json(instantiate(ordering, Tiles(*tile), layer),
+                            BufferingAssignment(*levels))
+
+
 def _brute_force(layer, budgets, policy):
     """The search's full cross product, reduced without bounds or stairs;
     also the least buffer at ideal traffic."""
-    table = search.precompute_requirements()
+    plans = search.precompute_requirements()
     tiles = search._tile_vectors(enumerate_tiles(layer, policy))
     extents = search._layer_extents(layer, tiles)
     ideal = ideal_traffic(layer)
     candidates, shapes, at_ideal = [], [], []
-    for ordering in table.orderings:
+    for plan in plans:
         (ti, bi), (tw, bw), (to, bo) = search._byte_tables(
-            table.plan(ordering), layer, extents)
+            plan, layer, extents)
         st = ti[:, None, None] + tw[None, :, None] + to[None, None]
         sb = bi[:, None, None] + bw[None, :, None] + bo[None, None]
         acc = np.broadcast_to(to[None, None], st.shape)
@@ -434,29 +445,30 @@ def _brute_force(layer, budgets, policy):
 
     def serial(o, flat):
         i, j, k, t = np.unravel_index(flat, shapes[o])
-        plan = table.plan(table.orderings[o])
-        levels = (plan.cand_levels["I"][i], plan.cand_levels["W"][j],
-                  plan.cand_levels["O"][k])
-        return search._serialize_candidate(
-            plan.ordering, layer, *(int(v[t]) for v in tiles), levels)
+        cand = plans[o].cand_levels
+        levels = (cand["I"][i], cand["W"][j], cand["O"][k])
+        return _serial(layer, plans[o].ordering,
+                       tuple(int(v[t]) for v in tiles), levels)
 
     return _least(candidates, budgets, serial), min(at_ideal, default=None)
 
 
 def _brute_force_cache(layer, budgets, policy):
-    table = search.precompute_requirements()
+    plans = search.precompute_requirements()
     tiles = search._tile_vectors(enumerate_tiles(layer, policy))
     extents = search._layer_extents(layer, tiles)
+    final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
     candidates = []
-    for ordering in table.orderings:
-        ws, tot, acc = baselines._cache_tables(table.plan(ordering), layer,
-                                               extents)
+    for plan in plans:
+        t_in, t_w, acc, b_in, b_w, b_o = baselines._cache_tables(
+            plan, layer, extents)
+        tot, ws = t_in + t_w + acc + final, b_in + b_w + b_o
         candidates.append((tot.reshape(-1), ws.reshape(-1), acc.reshape(-1)))
 
     def serial(o, flat):
         k, t = divmod(flat, tiles[0].size)
-        return search._serialize_candidate(
-            table.orderings[o], layer, *(int(v[t]) for v in tiles), (k, k, k))
+        return _serial(layer, plans[o].ordering,
+                       tuple(int(v[t]) for v in tiles), (k, k, k))
 
     return _least(candidates, budgets, serial)
 

@@ -9,10 +9,10 @@ from convsched import (
     Tiles,
     ValidationError,
     enumerate_permutations,
-    enumerate_tiles,
     instantiate,
 )
 from convsched.casestudy import HWC_BODY
+from convsched.space import enumerate_tiles
 from conftest import make_tiny
 
 
