@@ -26,8 +26,8 @@ from .model import (
     window_extent,
 )
 from .search import (
-    CrossCheckError, SearchResult, _HUGE, _build_tables, _check_int64_range,
-    _compact_table, _layer_extents, _materialize, _Staircase, _tile_vectors,
+    CrossCheckError, SearchResult, _HUGE, _answers, _build_tables,
+    _layer_extents, _layer_space, _Staircase, _tile_vectors,
     precompute_requirements,
 )
 from .space import TilePolicy, enumerate_tiles, instantiate
@@ -59,16 +59,19 @@ def peemen_buffer(candidate: PeemenCandidate, layer: LayerShape
     outputs hold one full tile each.
     """
     t = candidate.tiles
+    return _buffer_elements(layer, t.mss, t.css, t.iss, t.jss)
+
+
+def _buffer_elements(layer: LayerShape, mss, css, iss, jss):
+    """peemen_buffer's (inputs, weights, outputs) on ints or tile vectors."""
     s = layer.stride
-    b_i = t.css * window_extent(t.iss, layer.k_h, s) \
-        * window_extent(t.jss, layer.k_w, s)
-    b_w = t.mss * t.css * layer.k_h * layer.k_w
-    b_o = t.mss * t.iss * t.jss
-    return b_i, b_w, b_o
+    b_i = css * window_extent(iss, layer.k_h, s) \
+        * window_extent(jss, layer.k_w, s)
+    return b_i, mss * css * layer.k_h * layer.k_w, mss * iss * jss
 
 
-def _case_vectors(case: str, layer: LayerShape, mss, css, iss, jss,
-                  win_i, win_j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _case_vectors(case: str, layer: LayerShape, mss, css, iss, jss
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t_in, t_w, t_o) byte vectors over the tile grid for one case.
 
     The innermost controlling loop's trip factor drops out of the products
@@ -82,6 +85,8 @@ def _case_vectors(case: str, layer: LayerShape, mss, css, iss, jss,
     ceil_h = -(-layer.out_h // iss)
     ceil_w = -(-layer.out_w // jss)
     k2 = layer.k_h * layer.k_w
+    win_i = window_extent(iss, layer.k_h, layer.stride)
+    win_j = window_extent(jss, layer.k_w, layer.stride)
 
     if case == "TOF":
         trips = ceil_c * ceil_h * ceil_w
@@ -121,9 +126,7 @@ def _candidate_parts(candidate: PeemenCandidate, layer: LayerShape
     t = candidate.tiles
     one = np.asarray([0], dtype=np.int64)
     mss, css, iss, jss = (one + v for v in (t.mss, t.css, t.iss, t.jss))
-    s = layer.stride
-    parts = _case_vectors(candidate.innermost, layer, mss, css, iss, jss,
-                          (iss - 1) * s + layer.k_h, (jss - 1) * s + layer.k_w)
+    parts = _case_vectors(candidate.innermost, layer, mss, css, iss, jss)
     return tuple(int(p[0]) for p in parts)
 
 
@@ -195,14 +198,10 @@ def peemen_best(layer: LayerShape, budget: int,
             menus[Axis.SX] = (layer.out_w,)
         mss_v, css_v, iss_v, jss_v = _tile_vectors(menus)
         candidates += mss_v.size
-        s = layer.stride
-        win_i = (iss_v - 1) * s + layer.k_h
-        win_j = (jss_v - 1) * s + layer.k_w
-        sb = (layer.p_in * css_v * win_i * win_j
-              + layer.p_w * mss_v * css_v * layer.k_h * layer.k_w
-              + layer.p_acc * mss_v * iss_v * jss_v)
+        b_i, b_w, b_o = _buffer_elements(layer, mss_v, css_v, iss_v, jss_v)
+        sb = layer.p_in * b_i + layer.p_w * b_w + layer.p_acc * b_o
         t_in, t_w, t_o = _case_vectors(case, layer, mss_v, css_v, iss_v,
-                                       jss_v, win_i, win_j)
+                                       jss_v)
         total = t_in + t_w + t_o
         acc = t_o - final
 
@@ -271,11 +270,8 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
     """
     if any(b <= 0 for b in budgets):
         raise ValidationError("budget must be positive")
-    menus = enumerate_tiles(layer, policy or TilePolicy())
-    _check_int64_range(layer, menus)
-    tiles = _tile_vectors(menus)
-    extents = _layer_extents(layer, tiles)
-    compact = _compact_table(extents)
+    tiles, extents, compact = _layer_space(
+        layer, enumerate_tiles(layer, policy or TilePolicy()))
     n_t = tiles[0].size
     final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
 
@@ -293,50 +289,37 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
         tot_f = (t_in + t_w + t_acc + final).reshape(-1)
         acc_f = t_acc.reshape(-1)
 
+        def decode(flat, plan=plan):
+            """(serialization, payload): the candidate at `flat` of the
+            plan's tables, its plan and table row for report_of."""
+            k, t = divmod(flat, n_t)
+            tile = tuple(int(v[t]) for v in tiles)
+            levels = (int(compact[k, t]),) * 3
+            return (format_schedule(plan.ordering, tile, levels),
+                    (plan.ordering, tile, levels, plan, k))
+
         floor = int(ws_f.min())
         fb_ids = np.flatnonzero(ws_f == floor)
         fb_i = int(fb_ids[int(tot_f[fb_ids].argmin())])
-        fb = (floor, int(tot_f[fb_i]), plan, fb_i)
-        if fallback is None or fb[:2] < fallback[:2]:
-            fallback = fb
-
-        def decode(flat, plan=plan):
-            k, t = divmod(flat, n_t)
-            level = int(compact[k, t])
-            serial = format_schedule(plan.ordering,
-                                     tuple(int(v[t]) for v in tiles),
-                                     (level, level, level))
-            return serial, (plan, flat)
-
+        if fallback is None or (floor, int(tot_f[fb_i])) < fallback[:2]:
+            fallback = (floor, int(tot_f[fb_i]), decode, fb_i)
         stairs.add(tot_f, ws_f, floor, acc_f.__getitem__, levels_of, decode)
 
-    def materialize(plan, flat, budget, engine):
-        """The candidate at `flat` of the plan's tables, its report rebuilt
-        from the tables of its tile alone."""
-        k, t = divmod(flat, n_t)
-        tile = tuple(int(v[t]) for v in tiles)
+    def report_of(payload, budget):
+        """The candidate's report, from the tables of its tile alone."""
+        _, tile, _, plan, k = payload
         one = tuple(np.asarray([v], dtype=np.int64) for v in tile)
         t_in, t_w, t_acc, b_in, b_w, b_o = (
             int(part[k, 0])
             for part in _cache_tables(plan, layer, _layer_extents(layer, one)))
-        report = TrafficReport(
+        return TrafficReport(
             t_in=t_in, t_w=t_w, t_o_acc=t_acc, t_o_final=final,
             total=t_in + t_w + t_acc + final, b_in=b_in, b_w=b_w, b_o=b_o,
             feasible=b_in + b_w + b_o <= budget)
-        level = int(compact[k, t])
-        return _materialize(layer, budget, candidates, plan.ordering, tile,
-                            (level, level, level), engine, report)
 
-    out = []
-    for budget, step in zip(budgets, stairs.winners):
-        if step is not None:
-            serial, (plan, flat) = step.best()
-            engine = (step.total, step.buffer, step.acc, serial)
-        else:
-            _, _, plan, flat = fallback
-            engine = None
-        out.append(materialize(plan, flat, budget, engine))
-    return out
+    _, _, decode, fb_i = fallback
+    return _answers(layer, budgets, stairs, decode(fb_i)[1], candidates,
+                    report_of)
 
 
 def _cache_tables(plan, layer: LayerShape, extents: np.ndarray

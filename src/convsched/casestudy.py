@@ -2,17 +2,15 @@
 
 Both nests pin the loop ordering and the buffering levels of a concrete
 accelerator, so only tile sizes remain to choose: the HWC picks its map,
-channel and row tiles by a small search under the buffer budget (the
-column tile is the SIMD width), while the HWCE derives its stripe width
-from a line-buffer sizing rule.  The ratio between the two measures what
-cross-map reuse is worth on equal storage.
+channel and row tiles by the search engine run on that one plan under the
+buffer budget (the column tile is the SIMD width), while the HWCE derives
+its stripe width from a line-buffer sizing rule.  The ratio between the
+two measures what cross-map reuse is worth on equal storage.
 """
 
 from __future__ import annotations
 
-import itertools
-
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .layers import CrossCheckError, LayerShape, LayerSuite, ValidationError
 from .model import (
@@ -22,9 +20,9 @@ from .model import (
     Tiles,
     TrafficReport,
     axis_full_extent,
-    schedule_to_json,
     traffic,
 )
+from .search import SearchResult, _evaluate, _least_buffer, _make_plan
 from .space import TilePolicy, enumerate_tiles, instantiate
 
 # HWC tile body, innermost first: a SIMD row of outputs for a block of
@@ -56,36 +54,34 @@ class HwcConfig:
             raise ValidationError(f"SIMD width must be >= 1: {self.simd}")
 
 
+# The search's plan of the HWC body with its levels pinned.  All three are
+# body positions, which level compaction leaves as they are.
+_HWC_PLAN = replace(_make_plan(HWC_BODY),
+                    cand_levels={a: (HWC_LEVELS.level(a),) for a in "IWO"})
+
+
+def hwc_results(layer: LayerShape, budgets: tuple[int, ...],
+                simd: int = HwcConfig.simd) -> list[SearchResult]:
+    """Cheapest tile sizes for the fixed HWC nest: the search on its one
+    plan, all budgets in one pass.  The column tile is the SIMD width
+    (clamped to the output width); the map, channel and row tiles come from
+    the default policy menus.  When nothing fits, the least (buffer,
+    traffic, spill, serialization) tile is returned with its infeasible
+    report rather than raising.
+    """
+    for budget in budgets:
+        HwcConfig(budget, simd)  # validates both
+    menus = enumerate_tiles(layer, TilePolicy())
+    menus[Axis.SX] = (min(simd, layer.out_w),)
+    return _evaluate(layer, budgets, menus, (_HWC_PLAN,), _least_buffer)[0]
+
+
 def hwc_schedule(
     layer: LayerShape, config: HwcConfig
 ) -> tuple[Schedule, BufferingAssignment, TrafficReport]:
-    """Cheapest tile sizes for the fixed HWC nest under the budget.
-
-    The column tile is the SIMD width (clamped to the output width); the
-    map, channel and row tiles come from the default policy menus.  When
-    nothing fits, the smallest-buffer candidate is returned with its
-    infeasible report rather than raising.
-    """
-    menus = enumerate_tiles(layer, TilePolicy())
-    jss = min(config.simd, layer.out_w)
-    best = None
-    fallback = None
-    for mss, css, iss in itertools.product(
-            menus[Axis.OF], menus[Axis.IF], menus[Axis.SY]):
-        tiles = Tiles(mss=mss, css=css, iss=iss, jss=jss)
-        schedule = instantiate(HWC_BODY, tiles, layer)
-        report = traffic(schedule, HWC_LEVELS, config.budget)
-        serial = schedule_to_json(schedule, HWC_LEVELS)
-        fb_key = (report.buffer_bytes, report.total, report.t_o_acc, serial)
-        if fallback is None or fb_key < fallback[0]:
-            fallback = (fb_key, schedule, report)
-        if not report.feasible:
-            continue
-        key = (report.total, report.buffer_bytes, report.t_o_acc, serial)
-        if best is None or key < best[0]:
-            best = (key, schedule, report)
-    _, schedule, report = best if best is not None else fallback
-    return schedule, HWC_LEVELS, report
+    """The HWC tiles at one budget; see hwc_results."""
+    res = hwc_results(layer, (config.budget,), config.simd)[0]
+    return res.schedule, res.assignment, res.report
 
 
 def hwce_schedule(

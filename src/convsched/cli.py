@@ -22,7 +22,7 @@ from .search import (
     MODEL_ORDER, SearchConfig, best_schedule, distribution, sweep,
 )
 from .space import TILE_POLICY_MODES, TilePolicy
-from .suites import BUILTIN_SUITE_NAMES, builtin_suite
+from .suites import BUILTIN_SUITE_NAMES, builtin_suite, find_builtin_layer
 from .baselines import cache_best, peemen_best
 
 CSV_COLUMNS = ("suite", "layer", "model", "budget", "t_in", "t_w", "t_o_acc",
@@ -94,28 +94,28 @@ def _resolve_layer(args) -> tuple[str, LayerShape]:
             "--layer is required when the layer file holds several layers")
     if not args.layer:
         raise ValidationError("a layer is required: --layer NAME or --layer-file FILE")
-    want = args.layer.lower()
-    for suite_name in BUILTIN_SUITE_NAMES:
-        for layer in builtin_suite(suite_name):
-            if layer.name.lower() == want:
-                return suite_name, layer
-    raise ValidationError(f"no built-in layer named {args.layer!r}")
+    layer = find_builtin_layer(args.layer)  # KeyError: exit 2 through main
+    return next(n for n in BUILTIN_SUITE_NAMES if layer in builtin_suite(n)), layer
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise ValidationError(f"cannot read {what} file {path}: {e}") from e
 
 
 def _read_suite_file(path: str) -> LayerSuite:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise ValidationError(f"cannot read layer file {path}: {e}") from e
-    return parse_layer_suite(text)
+    return parse_layer_suite(_read_text(path, "layer"))
 
 
-def _read_schedule(path: str, layer: LayerShape):
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise ValidationError(f"cannot read schedule file {path}: {e}") from e
-    return schedule_from_json(text, layer)
+def _read_schedule(args) -> tuple:
+    """(suite name, layer, schedule, assignment) for analyze and validate."""
+    suite_name, layer = _resolve_layer(args)
+    if args.budget is not None and args.budget <= 0:
+        raise ValidationError("budget must be positive")
+    text = _read_text(args.schedule, "schedule")
+    return (suite_name, layer, *schedule_from_json(text, layer))
 
 
 def _policy(args) -> TilePolicy:
@@ -162,10 +162,7 @@ def _print_report(out, report, budget) -> None:
 
 
 def cmd_analyze(args, out) -> int:
-    suite_name, layer = _resolve_layer(args)
-    if args.budget is not None and args.budget <= 0:
-        raise ValidationError("budget must be positive")
-    schedule, assignment = _read_schedule(args.schedule, layer)
+    suite_name, layer, schedule, assignment = _read_schedule(args)
     report = traffic(schedule, assignment, args.budget)
     serial = schedule_to_json(schedule, assignment)
     if args.format == "csv":
@@ -214,16 +211,10 @@ def cmd_sweep(args, out) -> int:
 
     rows = [_report_row(r.suite, r.layer, r.model, r.budget, r.report,
                         r.schedule_json) for r in result.rows]
-    for agg in result.aggregates:
-        row = dict.fromkeys(CSV_COLUMNS, "")
-        row.update(suite=agg.suite, layer=_AGGREGATE_LAYER, model=agg.model,
-                   budget=agg.budget, t_in=agg.t_in, t_w=agg.t_w,
-                   t_o_acc=agg.t_o_acc, t_o_final=agg.t_o_final,
-                   total=agg.total, buffer_bytes=agg.buffer_bytes,
-                   feasible="true" if agg.feasible else "false")
-        if agg.overhead_vs_ours_pct is not None:
-            row["overhead_vs_ours_pct"] = f"{agg.overhead_vs_ours_pct:.6f}"
-        rows.append(row)
+    # An aggregate carries a report's byte fields, so it formats as one.
+    rows += [_report_row(a.suite, _AGGREGATE_LAYER, a.model, a.budget, a,
+                         None, a.overhead_vs_ours_pct)
+             for a in result.aggregates]
 
     if args.format == "text":
         print(f"suite {suite.name}: aggregate totals (bytes)", file=out)
@@ -239,10 +230,7 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_validate(args, out) -> int:
-    suite_name, layer = _resolve_layer(args)
-    if args.budget is not None and args.budget <= 0:
-        raise ValidationError("budget must be positive")
-    schedule, assignment = _read_schedule(args.schedule, layer)
+    suite_name, layer, schedule, assignment = _read_schedule(args)
     rep = validate(schedule, assignment, cap=args.oracle_cap)
     model = traffic(schedule, assignment, args.budget)
     tr = rep.oracle

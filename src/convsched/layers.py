@@ -14,7 +14,7 @@ padding, and using the derived window sidesteps that.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 
 class ValidationError(ValueError):
@@ -23,9 +23,6 @@ class ValidationError(ValueError):
 
 class CrossCheckError(RuntimeError):
     """An engine or oracle answer disagrees with the check that arbitrates it."""
-
-
-_PRECISION_DEFAULTS = {"p_in": 1, "p_w": 1, "p_out": 1, "p_acc": 4}
 
 
 @dataclass(frozen=True)
@@ -133,11 +130,8 @@ class LayerSuite:
         return json.dumps(doc, indent=2)
 
 
-_LAYER_KEYS = {
-    "name", "in_h", "in_w", "out_h", "out_w", "k_h", "k_w",
-    "stride", "c_in", "c_out", "p_in", "p_w", "p_out", "p_acc",
-}
-_REQUIRED_KEYS = {"name", "out_h", "out_w", "k_h", "k_w", "stride", "c_in", "c_out"}
+_LAYER_KEYS = {f.name for f in fields(LayerShape)}
+_REQUIRED_KEYS = {f.name for f in fields(LayerShape) if f.default is MISSING}
 
 
 def parse_layer_suite(text: str) -> LayerSuite:
@@ -174,7 +168,5 @@ def parse_layer_suite(text: str) -> LayerSuite:
             raise ValidationError(
                 f"layers[{idx}]: missing keys {sorted(missing)}"
             )
-        kwargs = dict(_PRECISION_DEFAULTS)
-        kwargs.update(entry)
-        layers.append(LayerShape(**kwargs))
+        layers.append(LayerShape(**entry))
     return LayerSuite(name=name, layers=tuple(layers))

@@ -427,6 +427,11 @@ def _parse_axis(name) -> Axis:
         raise ValidationError(f"unknown axis name {name!r}") from None
 
 
+def _is_int(v) -> bool:
+    """An int, not a bool: JSON true and false load as bools, which are ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def schedule_from_dict(doc: dict, layer: LayerShape) -> tuple[Schedule, BufferingAssignment]:
     from .space import instantiate  # space builds on this module
     if not isinstance(doc, dict):
@@ -441,6 +446,9 @@ def schedule_from_dict(doc: dict, layer: LayerShape) -> tuple[Schedule, Bufferin
     raw_tiles = doc.get("tiles", {})
     if not isinstance(raw_tiles, dict) or set(raw_tiles) - {"mss", "css", "iss", "jss"}:
         raise ValidationError('"tiles" must map mss/css/iss/jss to sizes')
+    for key, v in raw_tiles.items():
+        if not _is_int(v):
+            raise ValidationError(f"tile size {key} must be an integer")
     tiles = Tiles(
         mss=raw_tiles.get("mss", layer.c_out),
         css=raw_tiles.get("css", layer.c_in),
@@ -457,7 +465,7 @@ def schedule_from_dict(doc: dict, layer: LayerShape) -> tuple[Schedule, Bufferin
     if not isinstance(raw_buf, dict) or set(raw_buf) != {"I", "W", "O"}:
         raise ValidationError('"buffering" must map I, W, and O to loop levels')
     for key, v in raw_buf.items():
-        if not isinstance(v, int):
+        if not _is_int(v):
             raise ValidationError(f"buffering level for {key} must be an integer")
     assignment = BufferingAssignment(*(raw_buf[a] for a in ARRAYS))
     assignment.check(schedule)

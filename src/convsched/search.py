@@ -31,6 +31,11 @@ remapped by one table per layer (_compact_table).
 
 All traffic numbers here are exact int64; winners are re-materialized
 through the scalar model as a cross-check before being reported.
+
+One core (_evaluate) serves three callers: evaluate_layer over every
+ordering, the HWC tile search (casestudy) on one plan with pinned levels,
+and the cache model (baselines), which prices its own tables but shares
+the layer set-up, the staircase and the materialization (_answers).
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import CrossCheckError, LayerShape, LayerSuite, ValidationError
-from .casestudy import HwcConfig, hwc_schedule, hwce_schedule
 from .model import (
     Axis, BufferingAssignment, Schedule, Tiles, TrafficReport,
     axis_full_extent, format_schedule, ideal_report, ideal_traffic,
@@ -141,12 +145,9 @@ def _make_plan(ordering: Ordering) -> OrderingPlan:
     )
 
 
-def precompute_requirements(orderings: tuple[Ordering, ...] | None = None,
-                            prune: bool = True) -> tuple[OrderingPlan, ...]:
-    """The plan of each ordering; all of them (pruned by default) if None."""
-    if orderings is None:
-        orderings = enumerate_permutations(prune)
-    return tuple(_make_plan(o) for o in orderings)
+def precompute_requirements(prune: bool = True) -> tuple[OrderingPlan, ...]:
+    """The plan of every ordering, of the pruned 180 by default."""
+    return tuple(_make_plan(o) for o in enumerate_permutations(prune))
 
 
 @dataclass
@@ -550,15 +551,15 @@ def _survivors(arrays: _Arrays, reach: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _first_least(arrays: _Arrays
+def _first_least(arrays: _Arrays, serial=None
                  ) -> tuple[int, int, tuple[int, int, int], int]:
-    """(buffer, traffic, level indices, tile) of the first least-buffer
-    candidate.
+    """The search's fallback: (buffer, traffic, level indices, tile) of the
+    first least-buffer candidate.
 
     The candidate is the one an argmin over the full (nI, nW, nO, T) cross
     product would find, derived from the per-array least buffers without
     building the product: the least level of each array in turn among
-    tiles still at the floor, then the least tile.
+    tiles still at the floor, then the least tile.  `serial` is unused.
     """
     least = [w.min(axis=0) for _, w in arrays]
     floors = sum(least)
@@ -572,6 +573,22 @@ def _first_least(arrays: _Arrays
     buffer = sum(int(w[l, t]) for (_, w), l in zip(arrays, levels))
     total = sum(int(v[l, t]) for (v, _), l in zip(arrays, levels))
     return buffer, total, tuple(levels), t
+
+
+def _least_buffer(arrays: _Arrays, serial
+                  ) -> tuple[int, int, tuple[int, int, int], int]:
+    """The HWC's fallback: the least (buffer, traffic, spill,
+    serialization) candidate over the full cross product."""
+    value, weight = _cross(arrays)
+    spill = np.broadcast_to(arrays[2][0][None, None], value.shape)
+    ids = np.flatnonzero(weight == weight.min())
+    for key in (value, spill):
+        key = key.reshape(-1)[ids]
+        ids = ids[key == key.min()]
+    tied = [tuple(map(int, np.unravel_index(f, value.shape)))
+            for f in ids.tolist()]
+    *idx, t = min(tied, key=lambda c: serial(c[:3], c[3]))
+    return int(weight.min()), int(value.reshape(-1)[ids[0]]), tuple(idx), t
 
 
 def _check_int64_range(layer: LayerShape,
@@ -602,71 +619,72 @@ def _check_int64_range(layer: LayerShape,
             f"search's 64-bit arithmetic (limit {_HUGE})")
 
 
-def _materialize(layer: LayerShape, budget: int, candidates: int,
-                 ordering: Ordering, tile: tuple[int, int, int, int],
-                 levels: tuple[int, int, int], engine: tuple | None,
-                 report: TrafficReport | None = None) -> SearchResult:
-    """One candidate as a result, checked against the model that prices it.
-
-    `levels` are the candidate's compacted (I, W, O) buffering levels.  The
-    report is the scalar model's unless one is given.  A winner's `engine`
-    numbers (total, buffer, spill, serialization) must be the report's and
-    the schedule's exactly.  Without them the candidate is the smallest
-    buffer, reported where nothing fits, and it must not fit either.
-    """
-    schedule = instantiate(ordering, Tiles(*tile), layer)
-    assignment = BufferingAssignment(*levels)
-    if report is None:
-        report = traffic(schedule, assignment, budget)
-    if engine is not None:
-        priced = (report.total, report.buffer_bytes, report.t_o_acc,
-                  schedule_to_json(schedule, assignment))
-        if priced != engine:
-            raise CrossCheckError(
-                f"{layer.name} at budget {budget}: the model prices the "
-                f"engine's winner as (total, buffer, spill, serial) = "
-                f"{priced}, the engine as {engine}")
-    elif report.feasible:
-        raise CrossCheckError(
-            f"{layer.name} at budget {budget}: the engine found nothing that "
-            f"fits, but the model fits its smallest buffer "
-            f"({report.buffer_bytes} B)")
-    return SearchResult(layer_name=layer.name, budget=budget,
-                        schedule=schedule, assignment=assignment,
-                        report=report, candidates=candidates)
-
-
-def evaluate_layer(layer: LayerShape,
-                   budgets: tuple[int, ...],
-                   policy: TilePolicy | None = None,
-                   prune: bool = True,
-                   orderings: tuple[Ordering, ...] | None = None
-                   ) -> LayerEvaluation:
-    """Exhaustive search over the full space, all budgets in one pass.
-
-    Per ordering, only the tiles that survive the bound step (see
-    _survivors) are expanded into candidates, and those go through one
-    staircase (see _Staircase), so the cost barely grows with the number
-    of budgets.  Per budget the winner has the least traffic among
-    candidates whose buffer fits, then the fewest buffer bytes, spill
-    bytes and the least canonical serialization; `ordering_best` holds
-    each ordering's least traffic per budget.  Both are those of the full
-    space.  Budgets need not be sorted or unique.  Where nothing fits, the
-    smallest-buffer candidate is reported as infeasible.
-    """
-    policy = policy or TilePolicy()
-    plans = precompute_requirements(orderings, prune)
-    menus = enumerate_tiles(layer, policy)
+def _layer_space(layer: LayerShape, menus: dict) -> tuple:
+    """(tile vectors, stacked extents, compact table), int64 range checked."""
     _check_int64_range(layer, menus)
     tiles = _tile_vectors(menus)
     extents = _layer_extents(layer, tiles)
-    compact = _compact_table(extents)
+    return tiles, extents, _compact_table(extents)
+
+
+def _answers(layer: LayerShape, budgets: tuple[int, ...], stairs: _Staircase,
+             fallback: tuple, candidates: int, report_of: Callable | None = None
+             ) -> list[SearchResult]:
+    """Per budget, the staircase's winner, else the `fallback`, checked
+    against the model that prices it: `report_of(payload, budget)`, else
+    the scalar model.  A payload is (ordering, tile, compacted (I, W, O)
+    levels, ...).  A winner's (total, buffer, spill, serialization) must
+    be the report's and the schedule's exactly; the fallback must not fit.
+    """
+    results = []
+    for budget, step in zip(budgets, stairs.winners):
+        serial, payload = (None, fallback) if step is None else step.best()
+        ordering, tile, levels = payload[:3]
+        schedule = instantiate(ordering, Tiles(*tile), layer)
+        assignment = BufferingAssignment(*levels)
+        report = (traffic(schedule, assignment, budget) if report_of is None
+                  else report_of(payload, budget))
+        if step is not None:
+            engine = (step.total, step.buffer, step.acc, serial)
+            priced = (report.total, report.buffer_bytes, report.t_o_acc,
+                      schedule_to_json(schedule, assignment))
+            if priced != engine:
+                raise CrossCheckError(
+                    f"{layer.name} at budget {budget}: the model prices the "
+                    f"engine's winner as (total, buffer, spill, serial) = "
+                    f"{priced}, the engine as {engine}")
+        elif report.feasible:
+            raise CrossCheckError(
+                f"{layer.name} at budget {budget}: the engine found nothing "
+                f"that fits, but the model fits its smallest buffer "
+                f"({report.buffer_bytes} B)")
+        results.append(SearchResult(
+            layer_name=layer.name, budget=budget, schedule=schedule,
+            assignment=assignment, report=report, candidates=candidates))
+    return results
+
+
+def _evaluate(layer: LayerShape, budgets: tuple[int, ...],
+              menus: dict[Axis, tuple[int, ...]],
+              plans: tuple[OrderingPlan, ...], fallback_of: Callable
+              ) -> tuple[list[SearchResult], np.ndarray, int]:
+    """(results, ordering_best, candidates) of the plans on the tile menus.
+
+    Per ordering, only the tiles that survive the bound step (see
+    _survivors) are expanded into candidates, and those go through one
+    staircase (see _Staircase).  For budgets where nothing fits,
+    `fallback_of(arrays, serial)` names an ordering's candidate as
+    _first_least does, one of its least buffer (serial(level indices,
+    tile) serializes one); the least (buffer, traffic) of those, the
+    first on ties, is reported.
+    """
+    tiles, extents, compact = _layer_space(layer, menus)
     n_t = extents.shape[1]
     budgets_v = np.asarray(budgets, dtype=np.int64)
 
     def candidate(plan: OrderingPlan, idx, t: int):
-        """(serialization, _materialize arguments) of the (I, W, O) level
-        indices `idx` into the plan's candidate levels, on tile column t."""
+        """(serialization, payload) of the (I, W, O) level indices `idx`
+        into the plan's candidate levels, on tile column t."""
         levels = tuple(int(compact[plan.cand_levels[a][n], t])
                        for a, n in zip(("I", "W", "O"), idx))
         tile = tuple(int(v[t]) for v in tiles)
@@ -682,7 +700,8 @@ def evaluate_layer(layer: LayerShape,
         arrays = _byte_tables(plan, layer, extents)
         candidates += math.prod(w.shape[0] for _, w in arrays) * n_t
 
-        floor, total, idx, t = _first_least(arrays)
+        floor, total, idx, t = fallback_of(
+            arrays, lambda idx, t, plan=plan: candidate(plan, idx, t)[0])
         if fallback is None or (floor, total) < fallback[:2]:
             fallback = (floor, total, plan, idx, t)
         reach = np.unique(budgets_v[budgets_v >= floor])
@@ -712,15 +731,29 @@ def evaluate_layer(layer: LayerShape,
         ordering_best[oi] = stairs.add(st.reshape(-1), sb.reshape(-1), floor,
                                        acc_of, levels_of, decode)
 
-    results = []
-    for budget, step in zip(budgets, stairs.winners):
-        if step is not None:
-            serial, args = step.best()
-            engine = (step.total, step.buffer, step.acc, serial)
-        else:
-            _, args = candidate(*fallback[2:])
-            engine = None
-        results.append(_materialize(layer, budget, candidates, *args, engine))
+    results = _answers(layer, budgets, stairs,
+                       candidate(*fallback[2:])[1], candidates)
+    return results, ordering_best, candidates
+
+
+def evaluate_layer(layer: LayerShape,
+                   budgets: tuple[int, ...],
+                   policy: TilePolicy | None = None,
+                   prune: bool = True) -> LayerEvaluation:
+    """Exhaustive search over the full space, all budgets in one pass.
+
+    The cost barely grows with the number of budgets (see _evaluate).  Per
+    budget the winner has the least traffic among candidates whose buffer
+    fits, then the fewest buffer bytes, spill bytes and the least
+    canonical serialization; `ordering_best` holds each ordering's least
+    traffic per budget.  Both are those of the full space.  Budgets need
+    not be sorted or unique.  Where nothing fits, the first least-buffer
+    candidate (see _first_least) is reported as infeasible.
+    """
+    plans = precompute_requirements(prune)
+    results, ordering_best, candidates = _evaluate(
+        layer, budgets, enumerate_tiles(layer, policy or TilePolicy()),
+        plans, _first_least)
     return LayerEvaluation(
         layer=layer, budgets=tuple(budgets), results=tuple(results),
         orderings=tuple(p.ordering for p in plans),
@@ -734,8 +767,8 @@ def best_schedule(layer: LayerShape, budget: int,
     config = config or SearchConfig()
     if budget <= 0:
         raise ValidationError("budget must be positive")
-    ev = evaluate_layer(layer, (budget,), config.tile_policy, config.prune)
-    return ev.results[0]
+    return evaluate_layer(layer, (budget,), config.tile_policy,
+                          config.prune).results[0]
 
 
 def min_budget_for_ideal(layer: LayerShape,
@@ -750,10 +783,8 @@ def min_budget_for_ideal(layer: LayerShape,
     probe of the tiles of least bound, drops every tile bounded at or
     above it.
     """
-    policy = policy or TilePolicy()
-    menus = enumerate_tiles(layer, policy)
-    _check_int64_range(layer, menus)
-    extents = _layer_extents(layer, _tile_vectors(menus))
+    _, extents, _ = _layer_space(
+        layer, enumerate_tiles(layer, policy or TilePolicy()))
     ideal = ideal_traffic(layer)
     least = _HUGE
 
@@ -762,7 +793,7 @@ def min_budget_for_ideal(layer: LayerShape,
         at = sb[st == ideal]
         return int(at.min()) if at.size else _HUGE
 
-    for plan in precompute_requirements(None, prune):
+    for plan in precompute_requirements(prune):
         arrays = _byte_tables(plan, layer, extents)
         bound = _lower_bound([(w, v) for v, w in arrays],
                              np.asarray([ideal], dtype=np.int64))[0]
@@ -849,7 +880,8 @@ class SweepResult:
 
 # Per model, fn(layer, budgets, policy, prune) -> per budget (schedule,
 # assignment, report, candidate count); the schedule is None where the
-# model has none.  baselines builds on this module, so it is imported late.
+# model has none.  baselines and casestudy build on this module, so they
+# are imported late.
 
 def _unpack(results) -> list[tuple]:
     return [(r.schedule, r.assignment, r.report, r.candidates) for r in results]
@@ -870,10 +902,12 @@ def _cache(layer, budgets, policy, prune):
 
 
 def _hwc(layer, budgets, policy, prune):
-    return [(*hwc_schedule(layer, HwcConfig(budget=b)), 0) for b in budgets]
+    from .casestudy import hwc_results
+    return _unpack(hwc_results(layer, budgets))
 
 
 def _hwce(layer, budgets, policy, prune):
+    from .casestudy import HwcConfig, hwce_schedule
     return [(*hwce_schedule(layer, HwcConfig(budget=b)), 0) for b in budgets]
 
 
@@ -939,11 +973,9 @@ def sweep(suite: LayerSuite, config: SearchConfig | None = None,
             feasible = all(r.report is not None and r.report.feasible
                            for r in cell)
             totals[model, budget] = agg["total"]
-            overhead = None
-            if model == "peemen" and ("ours", budget) in totals \
-                    and totals["ours", budget] > 0:
-                ours = totals["ours", budget]
-                overhead = 100.0 * (agg["total"] - ours) / ours
+            ours = totals.get(("ours", budget))
+            overhead = (100.0 * (agg["total"] - ours) / ours
+                        if model == "peemen" and ours else None)
             aggregates.append(AggregateRow(
                 suite=suite.name, model=model, budget=budget,
                 feasible=feasible, overhead_vs_ours_pct=overhead, **agg))

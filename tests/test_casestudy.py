@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from convsched import (
@@ -14,15 +16,22 @@ from convsched import (
     HwcConfig,
     LayerShape,
     LayerSuite,
+    TilePolicy,
+    Tiles,
     ValidationError,
     find_builtin_layer,
     hwc_schedule,
     hwce_schedule,
     hwce_vs_hwc_ratio,
     ideal_traffic,
+    instantiate,
+    schedule_to_json,
     simulate,
+    traffic,
 )
-from convsched.casestudy import HWC_BODY, HWC_LEVELS, HWCE_LEVELS
+from convsched.casestudy import HWC_BODY, HWC_LEVELS, HWCE_LEVELS, hwc_results
+from convsched.search import _least_buffer
+from convsched.space import enumerate_tiles
 from conftest import make_tiny
 
 
@@ -81,6 +90,109 @@ def test_hwc_infeasible_budget_returns_smallest_buffer():
     assert not rep.feasible
     assert sched is not None
     assert rep.buffer_bytes > 16
+
+
+# ---------------------------------------------------------------------------
+# The engine's HWC tile search against a scalar loop over every tile.
+
+def _scalar_hwc(layer, config):
+    """Every tile of the fixed HWC nest instantiated, priced and serialized
+    by the scalar model; the least (total, buffer, spill, serialization)
+    that fits, else the least (buffer, total, spill, serialization)."""
+    menus = enumerate_tiles(layer, TilePolicy())
+    jss = min(config.simd, layer.out_w)
+    best = None
+    fallback = None
+    for mss, css, iss in itertools.product(
+            menus[Axis.OF], menus[Axis.IF], menus[Axis.SY]):
+        tiles = Tiles(mss=mss, css=css, iss=iss, jss=jss)
+        schedule = instantiate(HWC_BODY, tiles, layer)
+        report = traffic(schedule, HWC_LEVELS, config.budget)
+        serial = schedule_to_json(schedule, HWC_LEVELS)
+        fb_key = (report.buffer_bytes, report.total, report.t_o_acc, serial)
+        if fallback is None or fb_key < fallback[0]:
+            fallback = (fb_key, schedule, report)
+        if not report.feasible:
+            continue
+        key = (report.total, report.buffer_bytes, report.t_o_acc, serial)
+        if best is None or key < best[0]:
+            best = (key, schedule, report)
+    _, schedule, report = best if best is not None else fallback
+    return schedule, HWC_LEVELS, report
+
+
+def _hwc_desk_layers(seed):
+    """Random desk layers: a rectangular kernel under a wider stride, a
+    stride wider than the whole kernel, a square kernel at stride one and
+    a 1x1 one.  Extents in 3..11 leave power-of-two tiles that do not
+    divide them."""
+    rng = np.random.default_rng(seed)
+    shapes = ((3, 1, 2), (2, 3, 4), (3, 3, 1), (1, 1, 1))
+    for i, (k_h, k_w, stride) in enumerate(shapes):
+        out_h, out_w = (int(v) for v in rng.integers(3, 12, 2))
+        c_in, c_out = (int(v) for v in rng.integers(1, 9, 2))
+        p_out = int(rng.integers(1, 3))
+        yield LayerShape(name=f"hwc{seed}-{i}", out_h=out_h, out_w=out_w,
+                         k_h=k_h, k_w=k_w, stride=stride, c_in=c_in,
+                         c_out=c_out, p_in=int(rng.integers(1, 3)),
+                         p_w=int(rng.integers(1, 3)), p_out=p_out,
+                         p_acc=p_out + int(rng.integers(0, 3)))
+
+
+def test_hwc_search_matches_the_scalar_tile_loop():
+    # Serialization and the whole report per budget, for SIMD widths of
+    # one, four, sixteen and wider than any layer.  Budgets sit on and
+    # just below the buffers of a sample of tiles, below the least buffer,
+    # at one byte and above everything; hwc_results takes them all in one
+    # call, unsorted and with a repeat.
+    rng = np.random.default_rng(7)
+    for layer in _hwc_desk_layers(seed=3):
+        menus = enumerate_tiles(layer, TilePolicy())
+        for simd in (1, 4, 16, 64):
+            jss = min(simd, layer.out_w)
+            buffers = sorted({
+                traffic(instantiate(HWC_BODY, Tiles(m, c, i, jss), layer),
+                        HWC_LEVELS).buffer_bytes
+                for m, c, i in itertools.product(
+                    menus[Axis.OF], menus[Axis.IF], menus[Axis.SY])})
+            edges = rng.choice(buffers, size=min(5, len(buffers)),
+                               replace=False).tolist()
+            budgets = [b + d for b in [buffers[0]] + edges for d in (-1, 0)]
+            budgets += [1, buffers[-1] + 1, budgets[0]]
+            rng.shuffle(budgets)
+            results = hwc_results(layer, tuple(budgets), simd)
+            for budget, res in zip(budgets, results):
+                config = HwcConfig(budget=budget, simd=simd)
+                want_sched, want_levels, want = _scalar_hwc(layer, config)
+                got = (res.schedule, res.assignment, res.report)
+                assert got == hwc_schedule(layer, config)
+                assert res.report == want, (layer, simd, budget)
+                assert (schedule_to_json(res.schedule, res.assignment)
+                        == schedule_to_json(want_sched, want_levels))
+            assert not results[budgets.index(buffers[0] - 1)].feasible
+
+
+def test_hwc_fallback_breaks_ties_on_spill_then_serialization():
+    # Two tiles with equal buffer (6) and traffic (19): the one that
+    # spills less wins even where its serialization is the greater one;
+    # with spill tied too, the lesser serialization wins.
+    def tiles(*v):
+        return np.asarray([v], dtype=np.int64)
+
+    serial = {0: "a", 1: "b"}
+    arrays = [(tiles(10, 12), tiles(3, 3)), (tiles(5, 5), tiles(2, 2)),
+              (tiles(4, 2), tiles(1, 1))]
+    assert _least_buffer(arrays, lambda idx, t: serial[t]) == (6, 19, (0, 0, 0), 1)
+    arrays[2] = (tiles(3, 3), tiles(1, 1))
+    arrays[0] = (tiles(11, 11), tiles(3, 3))
+    assert _least_buffer(arrays, lambda idx, t: serial[t]) == (6, 19, (0, 0, 0), 0)
+
+
+def test_hwc_results_validates_budgets_and_simd():
+    with pytest.raises(ValidationError):
+        hwc_results(make_tiny(), (1024, 0))
+    with pytest.raises(ValidationError):
+        hwc_results(make_tiny(), (1024,), simd=0)
 
 
 def test_hwce_stripe_rule_alexnet1():

@@ -104,6 +104,27 @@ def test_analyze_malformed_schedule_is_a_validation_error(
     assert err
 
 
+@pytest.mark.parametrize("tiles, buffering, message", [
+    ({"mss": "2"}, {"I": 5, "W": 5, "O": 5}, "tile size mss"),
+    ({"mss": 2.5}, {"I": 5, "W": 5, "O": 5}, "tile size mss"),
+    ({"mss": True}, {"I": 5, "W": 5, "O": 5}, "tile size mss"),
+    ({}, {"I": True, "W": 5, "O": 5}, "buffering level for I"),
+], ids=("string-tile", "float-tile", "bool-tile", "bool-level"))
+def test_analyze_non_integer_tile_or_level_is_a_validation_error(
+        capsys, tmp_path, tiles, buffering, message):
+    # A string tile used to end in a TypeError traceback; a float one was
+    # priced as float bytes, and true passed as the integer one.
+    doc = {"order": ["FX", "FY", "SX", "SY", "IF", "OF"], "tiles": tiles,
+           "buffering": buffering}
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", "--layer", "ZFNet-6",
+                         "--schedule", str(path))
+    assert code == 2
+    assert not out
+    assert f"error: {message} must be an integer" in err
+
+
 # --- search ------------------------------------------------------------------
 
 def test_search_unknown_model_is_a_usage_error(capsys, tiny_suite_file):
