@@ -11,6 +11,10 @@ everything the localized space touches must fit at once, and each outer trip
 moves the whole working set again.  Output partial sums round-trip at
 accumulator precision whenever accumulation is interrupted outside the
 localized space.
+
+Both price their own candidates but rank them on the search's staircase
+and materialize the winners through its _answers: one pass answers every
+budget, with the search's tie-break and exact cross-check.
 """
 
 from __future__ import annotations
@@ -21,16 +25,15 @@ import numpy as np
 
 from .layers import LayerShape, ValidationError
 from .model import (
-    Axis, BufferingAssignment, Schedule, Tiles, TrafficReport,
-    axis_full_extent, format_schedule, schedule_to_json, traffic,
-    window_extent,
+    Axis, Tiles, TrafficReport, axis_full_extent, format_schedule,
+    schedule_to_json, traffic, window_extent,
 )
 from .search import (
-    CrossCheckError, SearchResult, _HUGE, _answers, _build_tables,
-    _layer_extents, _layer_space, _Staircase, _tile_vectors,
-    precompute_requirements,
+    CrossCheckError, SearchResult, _answers, _build_tables,
+    _check_int64_range, _layer_extents, _layer_space, _least_buffer,
+    _nest_of, _Staircase, _tile_vectors, precompute_requirements,
 )
-from .space import TilePolicy, enumerate_tiles, instantiate
+from .space import TilePolicy, enumerate_tiles
 
 PEEMEN_CASES = ("TOF", "TIF", "TSY", "TSX")
 
@@ -121,23 +124,18 @@ def _case_vectors(case: str, layer: LayerShape, mss, css, iss, jss
     return trips * layer.p_in * b_i, trips * layer.p_w * b_w, t_o
 
 
-def _candidate_parts(candidate: PeemenCandidate, layer: LayerShape
-                     ) -> tuple[int, int, int]:
-    t = candidate.tiles
-    one = np.asarray([0], dtype=np.int64)
-    mss, css, iss, jss = (one + v for v in (t.mss, t.css, t.iss, t.jss))
-    parts = _case_vectors(candidate.innermost, layer, mss, css, iss, jss)
-    return tuple(int(p[0]) for p in parts)
-
-
 def peemen_traffic(candidate: PeemenCandidate, layer: LayerShape) -> int:
     """Total bytes moved under the given innermost-loop case."""
-    return sum(_candidate_parts(candidate, layer))
+    return _peemen_report(candidate, layer, None).total
 
 
 def _peemen_report(candidate: PeemenCandidate, layer: LayerShape,
                    budget: int | None) -> TrafficReport:
-    t_in, t_w, t_o = _candidate_parts(candidate, layer)
+    t = candidate.tiles
+    tiles = (np.asarray([v], dtype=np.int64)
+             for v in (t.mss, t.css, t.iss, t.jss))
+    t_in, t_w, t_o = (int(part[0]) for part in
+                      _case_vectors(candidate.innermost, layer, *tiles))
     final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
     b_i, b_w, b_o = peemen_buffer(candidate, layer)
     b_in, b_wb, b_ob = layer.p_in * b_i, layer.p_w * b_w, layer.p_acc * b_o
@@ -148,105 +146,100 @@ def _peemen_report(candidate: PeemenCandidate, layer: LayerShape,
     )
 
 
-def _peemen_embed(candidate: PeemenCandidate, layer: LayerShape
-                  ) -> tuple[Schedule, BufferingAssignment]:
-    """The candidate as a schedule: canonical body, case loop innermost
-    among the controlling loops, arrays buffered atop the body.  The array
-    the case loop reuses (inputs under TOF, outputs under TIF) is buffered
-    just above that loop instead, which is where the case formulas hold."""
+def _peemen_payload(candidate: PeemenCandidate, layer: LayerShape) -> tuple:
+    """The candidate as _answers materializes it: (canonical body, tiles,
+    (I, W, O) levels, controlling loops innermost first, candidate).  The
+    case loop sits innermost among the controlling loops, and the arrays
+    are buffered atop the body.  The array the case loop reuses (inputs
+    under TOF, outputs under TIF) is buffered just above that loop instead,
+    which is where the case formulas hold."""
     t = candidate.tiles
     ctrl = [a for a in (Axis.SX, Axis.SY, Axis.IF, Axis.OF)
             if t.for_axis(a, layer) < axis_full_extent(a, layer)]
     case_axis = _CASE_AXIS[candidate.innermost]
-    levels = {"I": 5, "W": 5, "O": 5}
-    if case_axis in ctrl:
+    tiled = case_axis in ctrl
+    if tiled:
         ctrl.remove(case_axis)
         ctrl.insert(0, case_axis)
-        if candidate.innermost == "TOF":
-            levels["I"] = 6
-        elif candidate.innermost == "TIF":
-            levels["O"] = 6
-    schedule = instantiate(_PEEMEN_BODY, t, layer, controlling=tuple(ctrl))
-    return schedule, BufferingAssignment(
-        level_i=levels["I"], level_w=levels["W"], level_o=levels["O"])
+    levels = (5 + (tiled and candidate.innermost == "TOF"), 5,
+              5 + (tiled and candidate.innermost == "TIF"))
+    return (_PEEMEN_BODY, (t.mss, t.css, t.iss, t.jss), levels, tuple(ctrl),
+            candidate)
+
+
+def peemen_results(layer: LayerShape, budgets: tuple[int, ...],
+                   policy: TilePolicy | None = None) -> list[SearchResult]:
+    """Best baseline candidate per budget over the four cases and the tile
+    menus, all budgets (any order, repeats included) in one pass.
+
+    The spatial cases keep their axis untiled: the case formulas already
+    charge the full row or column stream, so tiling that axis cannot change
+    traffic and would only under-book the stripe's buffer.  The four case
+    grids are one candidate list on the search's staircase, so the
+    tie-break is the search's; where nothing fits, the least (buffer,
+    traffic, spill, serialization) candidate is reported as infeasible.
+    """
+    if any(b <= 0 for b in budgets):
+        raise ValidationError("budget must be positive")
+    base_menus = enumerate_tiles(layer, policy or TilePolicy())
+    # In every case, trips times each case buffer is at most the product of
+    # the loop spans (times the stride window, for inputs), so the search's
+    # bound covers the case formulas too.
+    _check_int64_range(layer, base_menus)
+    grids = []
+    for i, case in enumerate(PEEMEN_CASES):
+        menus = dict(base_menus)
+        if case in ("TSY", "TSX"):
+            axis = _CASE_AXIS[case]
+            menus[axis] = (axis_full_extent(axis, layer),)
+        tiles = _tile_vectors(menus)
+        grids.append((np.full(tiles[0].size, i), *tiles,
+                      *_case_vectors(case, layer, *tiles)))
+    case, mss, css, iss, jss, t_in, t_w, t_o = map(np.concatenate, zip(*grids))
+    b_i, b_w, b_o = _buffer_elements(layer, mss, css, iss, jss)
+    final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
+    # (traffic, buffer) bytes of I, W and O as (1, N) level tables, the
+    # output's traffic its spill alone, as the search's _byte_tables.
+    arrays = [(t[None], b[None]) for t, b in (
+        (t_in + final, layer.p_in * b_i), (t_w, layer.p_w * b_w),
+        (t_o - final, layer.p_acc * b_o))]
+    # Compacted (I, O, W) levels: see _peemen_payload.
+    levels = np.stack([5 + ((case == 0) & (mss < layer.c_out)),
+                       5 + ((case == 1) & (css < layer.c_in)),
+                       np.full(case.size, 5)])
+
+    def decode(flat):
+        """(serialization, payload) of the candidate at `flat`."""
+        candidate = PeemenCandidate(PEEMEN_CASES[case[flat]], Tiles(
+            int(mss[flat]), int(css[flat]), int(iss[flat]), int(jss[flat])))
+        payload = _peemen_payload(candidate, layer)
+        return schedule_to_json(*_nest_of(layer, payload)), payload
+
+    def report_of(payload, budget):
+        """The case formulas' report; the equivalent schedule in our own
+        model can never cost more."""
+        candidate = payload[4]
+        report = _peemen_report(candidate, layer, budget)
+        ours = traffic(*_nest_of(layer, payload)).total
+        if ours > report.total:
+            raise CrossCheckError(
+                f"{layer.name} at budget {budget}: the scalar model prices "
+                f"the Peemen {candidate.innermost} winner {candidate.tiles} "
+                f"at {ours} B, above its own {report.total} B")
+        return report
+
+    floor, _, _, fb = _least_buffer(arrays, lambda idx, t: decode(t)[0])
+    stairs = _Staircase(budgets)
+    stairs.add(t_in + t_w + t_o, sum(w[0] for _, w in arrays), floor,
+               arrays[2][0][0].__getitem__, lambda ids: levels[:, ids], decode)
+    return _answers(layer, budgets, stairs, decode(fb)[1], case.size,
+                    report_of)
 
 
 def peemen_best(layer: LayerShape, budget: int,
                 policy: TilePolicy | None = None) -> SearchResult:
-    """Best baseline candidate over the four cases and the tile menus.
-
-    The spatial cases keep their axis untiled: the case formulas already
-    charge the full row or column stream, so tiling that axis cannot change
-    traffic and would only under-book the stripe's buffer.  Same staged
-    tie-break as the exhaustive search: traffic, buffer bytes, spill bytes,
-    then the canonical serialization.  With nothing feasible the
-    smallest-buffer candidate is reported, marked infeasible.
-    """
-    if budget <= 0:
-        raise ValidationError("budget must be positive")
-    base_menus = enumerate_tiles(layer, policy or TilePolicy())
-    final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
-
-    best = None      # (total, buffer, acc, serial, candidate)
-    fallback = None  # (buffer, total, acc, serial, candidate)
-    candidates = 0
-    for case in PEEMEN_CASES:
-        menus = dict(base_menus)
-        if case == "TSY":
-            menus[Axis.SY] = (layer.out_h,)
-        elif case == "TSX":
-            menus[Axis.SX] = (layer.out_w,)
-        mss_v, css_v, iss_v, jss_v = _tile_vectors(menus)
-        candidates += mss_v.size
-        b_i, b_w, b_o = _buffer_elements(layer, mss_v, css_v, iss_v, jss_v)
-        sb = layer.p_in * b_i + layer.p_w * b_w + layer.p_acc * b_o
-        t_in, t_w, t_o = _case_vectors(case, layer, mss_v, css_v, iss_v,
-                                       jss_v)
-        total = t_in + t_w + t_o
-        acc = t_o - final
-
-        def reduce(primary: np.ndarray, secondary: np.ndarray):
-            ids = np.flatnonzero(primary == primary.min())
-            sub = secondary[ids]
-            ids = ids[sub == sub.min()]
-            sub = acc[ids]
-            ids = ids[sub == sub.min()]
-            out = None
-            for j in ids:
-                c = PeemenCandidate(case, Tiles(
-                    int(mss_v[j]), int(css_v[j]), int(iss_v[j]), int(jss_v[j])))
-                key = (int(primary[j]), int(secondary[j]), int(acc[j]),
-                       schedule_to_json(*_peemen_embed(c, layer)), c)
-                if out is None or key[3] < out[3]:
-                    out = key
-            return out
-
-        fb = reduce(sb, total)
-        if fallback is None or fb[:4] < fallback[:4]:
-            fallback = fb
-        if (sb <= budget).any():
-            cand = reduce(np.where(sb <= budget, total, _HUGE), sb)
-            if best is None or cand[:4] < best[:4]:
-                best = cand
-
-    chosen = best if best is not None else fallback
-    candidate = chosen[4]
-    schedule, assignment = _peemen_embed(candidate, layer)
-    report = _peemen_report(candidate, layer, budget)
-    # The equivalent schedule in our own model can never cost more.
-    ours = traffic(schedule, assignment).total
-    if ours > report.total:
-        raise CrossCheckError(
-            f"{layer.name} at budget {budget}: the scalar model prices the "
-            f"Peemen {candidate.innermost} winner {candidate.tiles} at {ours} "
-            f"B, above its own {report.total} B")
-    if best is None and report.feasible:
-        raise CrossCheckError(
-            f"{layer.name} at budget {budget}: no Peemen candidate was found "
-            f"to fit, but the smallest buffer ({report.buffer_bytes} B) does")
-    return SearchResult(layer_name=layer.name, budget=budget,
-                        schedule=schedule, assignment=assignment,
-                        report=report, candidates=candidates)
+    """Best baseline candidate for one budget; see peemen_results."""
+    return peemen_results(layer, (budget,), policy)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +289,7 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
             tile = tuple(int(v[t]) for v in tiles)
             levels = (int(compact[k, t]),) * 3
             return (format_schedule(plan.ordering, tile, levels),
-                    (plan.ordering, tile, levels, plan, k))
+                    (plan.ordering, tile, levels, None, plan, k))
 
         floor = int(ws_f.min())
         fb_ids = np.flatnonzero(ws_f == floor)
@@ -307,7 +300,7 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
 
     def report_of(payload, budget):
         """The candidate's report, from the tables of its tile alone."""
-        _, tile, _, plan, k = payload
+        _, tile, _, _, plan, k = payload
         one = tuple(np.asarray([v], dtype=np.int64) for v in tile)
         t_in, t_w, t_acc, b_in, b_w, b_o = (
             int(part[k, 0])

@@ -25,6 +25,11 @@ class CrossCheckError(RuntimeError):
     """An engine or oracle answer disagrees with the check that arbitrates it."""
 
 
+def _is_int(v) -> bool:
+    """An int, not a bool: JSON true and false load as bools, which are ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class LayerShape:
     """Shape and precision of one convolution layer.
@@ -50,21 +55,21 @@ class LayerShape:
     p_acc: int = 4
 
     def __post_init__(self) -> None:
-        if self.in_h == 0:
-            object.__setattr__(self, "in_h", self.eff_h)
-        if self.in_w == 0:
-            object.__setattr__(self, "in_w", self.eff_w)
         for f in fields(self):
             if f.name == "name":
                 if not self.name:
                     raise ValidationError("layer name must be non-empty")
                 continue
             v = getattr(self, f.name)
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < (0 if f.name in ("in_h", "in_w") else 1):
                 raise ValidationError(
                     f"layer {self.name!r}: field {f.name} must be a positive "
                     f"integer, got {v!r}"
                 )
+        if self.in_h == 0:
+            object.__setattr__(self, "in_h", self.eff_h)
+        if self.in_w == 0:
+            object.__setattr__(self, "in_w", self.eff_w)
         if self.p_acc < self.p_out:
             raise ValidationError(
                 f"layer {self.name!r}: p_acc ({self.p_acc}) must be >= "

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .layers import LayerShape, ValidationError
+from .layers import LayerShape, ValidationError, _is_int
 
 ARRAYS = ("I", "W", "O")
 
@@ -425,11 +425,6 @@ def _parse_axis(name) -> Axis:
         return Axis[name]
     except (KeyError, TypeError):
         raise ValidationError(f"unknown axis name {name!r}") from None
-
-
-def _is_int(v) -> bool:
-    """An int, not a bool: JSON true and false load as bools, which are ints."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def schedule_from_dict(doc: dict, layer: LayerShape) -> tuple[Schedule, BufferingAssignment]:

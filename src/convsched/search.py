@@ -32,10 +32,10 @@ remapped by one table per layer (_compact_table).
 All traffic numbers here are exact int64; winners are re-materialized
 through the scalar model as a cross-check before being reported.
 
-One core (_evaluate) serves three callers: evaluate_layer over every
-ordering, the HWC tile search (casestudy) on one plan with pinned levels,
-and the cache model (baselines), which prices its own tables but shares
-the layer set-up, the staircase and the materialization (_answers).
+One core (_evaluate) serves two callers: evaluate_layer over every
+ordering and the HWC tile search (casestudy) on one plan with pinned
+levels.  The cache and Peemen models (baselines) price their own
+candidates but share the staircase and the materialization (_answers).
 """
 
 from __future__ import annotations
@@ -577,7 +577,7 @@ def _first_least(arrays: _Arrays, serial=None
 
 def _least_buffer(arrays: _Arrays, serial
                   ) -> tuple[int, int, tuple[int, int, int], int]:
-    """The HWC's fallback: the least (buffer, traffic, spill,
+    """The HWC's and Peemen's fallback: the least (buffer, traffic, spill,
     serialization) candidate over the full cross product."""
     value, weight = _cross(arrays)
     spill = np.broadcast_to(arrays[2][0][None, None], value.shape)
@@ -627,21 +627,28 @@ def _layer_space(layer: LayerShape, menus: dict) -> tuple:
     return tiles, extents, _compact_table(extents)
 
 
+def _nest_of(layer: LayerShape, payload: tuple
+             ) -> tuple[Schedule, BufferingAssignment]:
+    """The schedule and buffering a payload names (see _answers)."""
+    ordering, tile, levels, controlling = payload[:4]
+    return (instantiate(ordering, Tiles(*tile), layer, controlling),
+            BufferingAssignment(*levels))
+
+
 def _answers(layer: LayerShape, budgets: tuple[int, ...], stairs: _Staircase,
              fallback: tuple, candidates: int, report_of: Callable | None = None
              ) -> list[SearchResult]:
     """Per budget, the staircase's winner, else the `fallback`, checked
     against the model that prices it: `report_of(payload, budget)`, else
     the scalar model.  A payload is (ordering, tile, compacted (I, W, O)
-    levels, ...).  A winner's (total, buffer, spill, serialization) must
-    be the report's and the schedule's exactly; the fallback must not fit.
+    levels, controlling loops innermost first or None for the default
+    order, ...).  A winner's (total, buffer, spill, serialization) must be
+    the report's and the schedule's exactly; the fallback must not fit.
     """
     results = []
     for budget, step in zip(budgets, stairs.winners):
         serial, payload = (None, fallback) if step is None else step.best()
-        ordering, tile, levels = payload[:3]
-        schedule = instantiate(ordering, Tiles(*tile), layer)
-        assignment = BufferingAssignment(*levels)
+        schedule, assignment = _nest_of(layer, payload)
         report = (traffic(schedule, assignment, budget) if report_of is None
                   else report_of(payload, budget))
         if step is not None:
@@ -689,7 +696,7 @@ def _evaluate(layer: LayerShape, budgets: tuple[int, ...],
                        for a, n in zip(("I", "W", "O"), idx))
         tile = tuple(int(v[t]) for v in tiles)
         return (format_schedule(plan.ordering, tile, levels),
-                (plan.ordering, tile, levels))
+                (plan.ordering, tile, levels, None))
 
     stairs = _Staircase(budgets)
     ordering_best = np.full((len(plans), len(budgets)), -1, dtype=np.int64)
@@ -892,8 +899,8 @@ def _ours(layer, budgets, policy, prune):
 
 
 def _peemen(layer, budgets, policy, prune):
-    from .baselines import peemen_best
-    return _unpack(peemen_best(layer, b, policy) for b in budgets)
+    from .baselines import peemen_results
+    return _unpack(peemen_results(layer, budgets, policy))
 
 
 def _cache(layer, budgets, policy, prune):

@@ -6,11 +6,19 @@ ideal traffic 128 + 72 + 144 = 344 bytes.
 """
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
+import numpy as np
 import pytest
 
 from convsched import (
+    Axis,
+    CrossCheckError,
     LayerShape,
-    SearchConfig,
+    LayerSuite,
+    SearchResult,
+    TilePolicy,
     Tiles,
     ValidationError,
     cache_best,
@@ -18,13 +26,23 @@ from convsched import (
     evaluate_layer,
     ideal_traffic,
     peemen_best,
+    schedule_to_json,
 )
+from convsched import baselines
 from convsched.baselines import (
     PEEMEN_CASES,
     PeemenCandidate,
+    _buffer_elements,
+    _case_vectors,
+    _peemen_payload,
+    _peemen_report,
     peemen_buffer,
+    peemen_results,
     peemen_traffic,
 )
+from convsched.cli import main
+from convsched.search import _HUGE, _nest_of, _tile_vectors
+from convsched.space import enumerate_tiles
 from conftest import make_tiny
 
 
@@ -140,3 +158,148 @@ def test_baseline_totals_never_beat_ideal():
     for budget in (32, 64, 128, 1024):
         assert peemen_best(tiny, budget).report.total >= ideal
         assert cache_best(tiny, budget).report.total >= ideal
+
+
+# ---------------------------------------------------------------------------
+# The staircase-ranked Peemen search against a per-case, per-budget loop.
+
+def _embed(candidate, layer):
+    return _nest_of(layer, _peemen_payload(candidate, layer))
+
+
+def _scalar_peemen(layer, budget, policy=None):
+    """Per case, the least (total, buffer, spill, serialization) candidate
+    that fits and the least (buffer, total, spill, serialization) one; the
+    least of the first over the cases, else of the second."""
+    base_menus = enumerate_tiles(layer, policy or TilePolicy())
+    final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
+
+    best = None      # (total, buffer, acc, serial, candidate)
+    fallback = None  # (buffer, total, acc, serial, candidate)
+    candidates = 0
+    for case in PEEMEN_CASES:
+        menus = dict(base_menus)
+        if case == "TSY":
+            menus[Axis.SY] = (layer.out_h,)
+        elif case == "TSX":
+            menus[Axis.SX] = (layer.out_w,)
+        mss_v, css_v, iss_v, jss_v = _tile_vectors(menus)
+        candidates += mss_v.size
+        b_i, b_w, b_o = _buffer_elements(layer, mss_v, css_v, iss_v, jss_v)
+        sb = layer.p_in * b_i + layer.p_w * b_w + layer.p_acc * b_o
+        t_in, t_w, t_o = _case_vectors(case, layer, mss_v, css_v, iss_v,
+                                       jss_v)
+        total = t_in + t_w + t_o
+        acc = t_o - final
+
+        def reduce(primary, secondary):
+            ids = np.flatnonzero(primary == primary.min())
+            sub = secondary[ids]
+            ids = ids[sub == sub.min()]
+            sub = acc[ids]
+            ids = ids[sub == sub.min()]
+            out = None
+            for j in ids:
+                c = PeemenCandidate(case, Tiles(
+                    int(mss_v[j]), int(css_v[j]), int(iss_v[j]), int(jss_v[j])))
+                key = (int(primary[j]), int(secondary[j]), int(acc[j]),
+                       schedule_to_json(*_embed(c, layer)), c)
+                if out is None or key[3] < out[3]:
+                    out = key
+            return out
+
+        fb = reduce(sb, total)
+        if fallback is None or fb[:4] < fallback[:4]:
+            fallback = fb
+        if (sb <= budget).any():
+            cand = reduce(np.where(sb <= budget, total, _HUGE), sb)
+            if best is None or cand[:4] < best[:4]:
+                best = cand
+
+    candidate = (best if best is not None else fallback)[4]
+    schedule, assignment = _embed(candidate, layer)
+    return SearchResult(layer_name=layer.name, budget=budget,
+                        schedule=schedule, assignment=assignment,
+                        report=_peemen_report(candidate, layer, budget),
+                        candidates=candidates)
+
+
+def _desk_layers(seed):
+    """Random desk layers: a rectangular kernel under a wider stride, a
+    stride wider than the whole kernel, a square kernel at stride one and
+    a 1x1 one.  Extents in 3..11 leave power-of-two tiles that do not
+    divide them.  Last a fixed 1x1 layer on which TOF with the maps tiled
+    and TIF with the channels tiled tie on all three numbers, so only the
+    serialization's buffering levels tell them apart."""
+    rng = np.random.default_rng(seed)
+    shapes = ((3, 1, 2), (2, 3, 4), (3, 3, 1), (1, 1, 1))
+    for i, (k_h, k_w, stride) in enumerate(shapes):
+        out_h, out_w = (int(v) for v in rng.integers(3, 12, 2))
+        c_in, c_out = (int(v) for v in rng.integers(1, 12, 2))
+        p_out = int(rng.integers(1, 3))
+        yield LayerShape(name=f"peemen{seed}-{i}", out_h=out_h, out_w=out_w,
+                         k_h=k_h, k_w=k_w, stride=stride, c_in=c_in,
+                         c_out=c_out, p_in=int(rng.integers(1, 3)),
+                         p_w=int(rng.integers(1, 3)), p_out=p_out,
+                         p_acc=p_out + int(rng.integers(0, 3)))
+    yield LayerShape(name="peemen-tie", out_h=2, out_w=2, k_h=1, k_w=1,
+                     stride=1, c_in=2, c_out=2, p_acc=1)
+
+
+def test_peemen_results_match_the_per_case_loop():
+    # Serialization and the whole report per budget, under both power-of-
+    # two policies.  Budgets sit on and just below the buffers of a sample
+    # of candidates, below the least buffer, at one byte and above
+    # everything; peemen_results takes them all in one call, unsorted and
+    # with a repeat.
+    rng = np.random.default_rng(13)
+    for layer in _desk_layers(seed=5):
+        for policy in (TilePolicy("pow2"), TilePolicy("pow2-extents")):
+            menus = enumerate_tiles(layer, policy)
+            buffers = sorted({
+                _peemen_report(PeemenCandidate(case, Tiles(*t)), layer,
+                               None).buffer_bytes
+                for case in PEEMEN_CASES
+                for t in itertools.product(*(menus[a] for a in (
+                    Axis.OF, Axis.IF, Axis.SY, Axis.SX)))})
+            edges = rng.choice(buffers, size=min(5, len(buffers)),
+                               replace=False).tolist()
+            budgets = [b + d for b in [buffers[0]] + edges for d in (-1, 0)]
+            budgets += [1, buffers[-1] + 1, budgets[0]]
+            rng.shuffle(budgets)
+            results = peemen_results(layer, tuple(budgets), policy)
+            for budget, res in zip(budgets, results):
+                want = _scalar_peemen(layer, budget, policy)
+                assert res == peemen_best(layer, budget, policy)
+                assert res.report == want.report, (layer, policy, budget)
+                assert res.candidates == want.candidates
+                assert (schedule_to_json(res.schedule, res.assignment)
+                        == schedule_to_json(want.schedule, want.assignment))
+
+
+def test_peemen_winner_is_cross_checked_exactly(monkeypatch):
+    # A case formula one byte off the engine's own tables must not pass:
+    # the scalar model's "never more" check alone would let it through.
+    real = baselines._peemen_report
+
+    def one_byte_more(candidate, layer, budget):
+        rep = real(candidate, layer, budget)
+        return dataclasses.replace(rep, t_in=rep.t_in + 1, total=rep.total + 1)
+
+    monkeypatch.setattr(baselines, "_peemen_report", one_byte_more)
+    with pytest.raises(CrossCheckError):
+        peemen_best(make_tiny(), 4096)
+
+
+def test_peemen_refuses_int64_overflow(tmp_path, monkeypatch, capsys):
+    # 2^14 maps in and out of 2^14 x 2^14 outputs under an 11x11 kernel:
+    # an int64 sum used to wrap and win the minimum with exit code 0.
+    huge = LayerShape(name="huge", out_h=2 ** 14, out_w=2 ** 14, k_h=11,
+                      k_w=11, stride=1, c_in=2 ** 14, c_out=2 ** 14)
+    with pytest.raises(ValidationError, match="64-bit"):
+        peemen_best(huge, 2 ** 20)
+    monkeypatch.setenv("CONVSCHED_THREADS", "1")
+    path = tmp_path / "huge.json"
+    path.write_text(LayerSuite("huge", (huge,)).to_json())
+    assert main(["sweep", "--layer-file", str(path), "--model", "peemen"]) == 2
+    assert "64-bit" in capsys.readouterr().err

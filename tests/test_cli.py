@@ -152,6 +152,23 @@ def test_search_baseline_models_agree_with_api(capsys, tiny_suite_file):
     assert row["total"] == "864"
 
 
+@pytest.mark.parametrize("dims", [{"stride": True, "c_out": True},
+                                  {"stride": "2"}],
+                         ids=("bool-dims", "string-stride"))
+def test_search_non_integer_layer_dimension_is_a_validation_error(
+        capsys, tmp_path, dims):
+    # true used to run as stride 1 with one output map, exit 0; a string
+    # ended in a TypeError traceback.
+    layer = {**make_tiny().to_dict(), "in_h": 0, "in_w": 0, **dims}
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps({"name": "desk", "layers": [layer]}))
+    code, out, err = run(capsys, "search", "--layer-file", str(path),
+                         "--budget", "1K")
+    assert code == 2
+    assert not out
+    assert "must be a positive integer" in err
+
+
 def test_search_unknown_builtin_layer(capsys):
     code, _, err = run(capsys, "search", "--layer", "AlexNet-9",
                        "--budget", "1K")

@@ -42,6 +42,19 @@ def test_rejects_non_positive_extents(field, value):
         LayerShape(**kwargs)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("stride", True), ("c_out", True), ("in_h", False), ("k_h", "3"),
+    ("out_w", 4.0),
+])
+def test_rejects_non_integer_extents(field, value):
+    # Bools are ints to isinstance; a string used to fail deriving in_h.
+    kwargs = dict(name="bad", out_h=4, out_w=4, k_h=3, k_w=3,
+                  stride=1, c_in=2, c_out=2)
+    kwargs[field] = value
+    with pytest.raises(ValidationError, match=f"field {field} must be"):
+        LayerShape(**kwargs)
+
+
 def test_rejects_accumulator_narrower_than_output():
     with pytest.raises(ValidationError):
         LayerShape(name="bad", out_h=4, out_w=4, k_h=1, k_w=1,
