@@ -29,9 +29,10 @@ from .model import (
     schedule_to_json, traffic, window_extent,
 )
 from .search import (
-    CrossCheckError, SearchResult, _answers, _build_tables,
+    CrossCheckError, SearchResult, _answers, _carrier_masks,
     _check_int64_range, _layer_extents, _layer_space, _least_buffer,
-    _nest_of, _Staircase, _tile_vectors, precompute_requirements,
+    _nest_of, _prefix_tables, _Staircase, _tile_vectors,
+    precompute_requirements,
 )
 from .space import TilePolicy, enumerate_tiles
 
@@ -263,8 +264,9 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
     """
     if any(b <= 0 for b in budgets):
         raise ValidationError("budget must be positive")
-    tiles, extents, compact = _layer_space(
-        layer, enumerate_tiles(layer, policy or TilePolicy()))
+    plans = precompute_requirements()
+    tiles, tabs, compact = _layer_space(
+        layer, enumerate_tiles(layer, policy or TilePolicy()), plans)
     n_t = tiles[0].size
     final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
 
@@ -275,8 +277,8 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
     stairs = _Staircase(budgets)
     fallback = None
     candidates = 0
-    for plan in precompute_requirements():
-        t_in, t_w, t_acc, b_in, b_w, b_o = _cache_tables(plan, layer, extents)
+    for plan in plans:
+        t_in, t_w, t_acc, b_in, b_w, b_o = _cache_tables(plan, layer, tabs)
         candidates += t_in.size
         ws_f = (b_in + b_w + b_o).reshape(-1)
         tot_f = (t_in + t_w + t_acc + final).reshape(-1)
@@ -302,9 +304,9 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
         """The candidate's report, from the tables of its tile alone."""
         _, tile, _, _, plan, k = payload
         one = tuple(np.asarray([v], dtype=np.int64) for v in tile)
+        own = _prefix_tables(layer, _layer_extents(layer, one), (plan,))
         t_in, t_w, t_acc, b_in, b_w, b_o = (
-            int(part[k, 0])
-            for part in _cache_tables(plan, layer, _layer_extents(layer, one)))
+            int(part[k, 0]) for part in _cache_tables(plan, layer, own))
         return TrafficReport(
             t_in=t_in, t_w=t_w, t_o_acc=t_acc, t_o_final=final,
             total=t_in + t_w + t_acc + final, b_in=b_in, b_w=b_w, b_o=b_o,
@@ -315,25 +317,29 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
                     report_of)
 
 
-def _cache_tables(plan, layer: LayerShape, extents: np.ndarray
-                  ) -> tuple[np.ndarray, ...]:
+def _cache_tables(plan, layer: LayerShape, tabs) -> tuple[np.ndarray, ...]:
     """Traffic and buffer bytes per array of one ordering, each (10, T).
 
     (t_in, t_w, t_o_acc, b_in, b_w, b_o), where t_o_acc is the output
     traffic less the final write.  Row k - 1 localizes the k innermost of
-    the ten uniform positions.
+    the ten uniform positions: its working set is each array's footprint
+    inside cut k of the layer's prefix tables `tabs`, and each iteration
+    of the loops outside that cut moves it once.  Outputs round-trip at
+    accumulator precision where a position at or above k carries their
+    reuse.
     """
-    tabs = _build_tables(plan, layer, extents)
+    cut = np.searchsorted(tabs.ids, plan.pre[1:])
+    outside = tabs.outside[cut]
     final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
-    visits = tabs.ft["O"][1:] * tabs.suffix
+    visits = tabs.ft["O"][cut] * outside
     interrupted = np.zeros(visits.shape, dtype=bool)
-    for p, mask in tabs.carrier_masks["O"]:
+    for p, mask in _carrier_masks(plan, layer, tabs, "O"):
         interrupted[:p] |= mask
     t_acc = np.where(interrupted, 2 * layer.p_acc * visits,
                      layer.p_out * visits) - final
-    b_in, b_w = layer.p_in * tabs.ft["I"][1:], layer.p_w * tabs.ft["W"][1:]
-    return (b_in * tabs.suffix, b_w * tabs.suffix, t_acc,
-            b_in, b_w, layer.p_acc * tabs.ft["O"][1:])
+    b_in, b_w = layer.p_in * tabs.ft["I"][cut], layer.p_w * tabs.ft["W"][cut]
+    return (b_in * outside, b_w * outside, t_acc,
+            b_in, b_w, layer.p_acc * tabs.ft["O"][cut])
 
 
 def cache_best(layer: LayerShape, budget: int,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .layers import LayerShape, LayerSuite, ValidationError, parse_layer_suite
 from .model import schedule_from_json, schedule_to_json, traffic
-from .oracle import OracleCapError, validate
+from .oracle import DEFAULT_CAP, OracleCapError, validate
 from .search import (
     MODEL_ORDER, SearchConfig, best_schedule, distribution, sweep,
 )
@@ -359,10 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_layer_flags(p)
     p.add_argument("--schedule", required=True, metavar="FILE")
     p.add_argument("--budget", type=parse_byte_size, default=None)
-    p.add_argument("--oracle-cap", type=int, default=10 ** 8,
+    p.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP,
                    help="refuse (exit 3) nests of more loop iterations than "
                         "this (default %(default)s); the oracle walks the "
-                        "built-in layers' winners at over 10^8 a second")
+                        "built-in layers' winners at 0.5-2 G a second")
     _add_out_flags(p, "text")
     p.set_defaults(func=cmd_validate)
 

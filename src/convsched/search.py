@@ -29,6 +29,14 @@ which never carries reuse and multiplies nothing, so the uniform layout is
 exact; reported winners drop those unit loops again, their levels
 remapped by one table per layer (_compact_table).
 
+A level's traffic and buffer need only footprints and loop products over
+a prefix set: the loops below a cut, whatever their order.  Weight and
+output footprints are products over the set; an input footprint is the
+channel product times a window per spatial dim, fixed by which of its
+kernel, spatial and trip loops are inside.  The 180 orderings cut at 40
+sets (all 720 at 68), so a layer's tables are built once per set
+(_prefix_tables) and each ordering gathers its rows.
+
 All traffic numbers here are exact int64; winners are re-materialized
 through the scalar model as a cross-check before being reported.
 
@@ -40,6 +48,7 @@ candidates but share the staircase and the materialization (_answers).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import os
@@ -56,7 +65,8 @@ from .model import (
     schedule_to_json, traffic,
 )
 from .space import (
-    Ordering, TilePolicy, enumerate_permutations, enumerate_tiles, instantiate,
+    TILEABLE_AXES, Ordering, TilePolicy, enumerate_permutations,
+    enumerate_tiles, instantiate,
 )
 
 _HUGE = np.iinfo(np.int64).max // 4
@@ -64,16 +74,16 @@ _HUGE = np.iinfo(np.int64).max // 4
 # Fixed positions of the controlling loops in the uniform ten-slot nest,
 # innermost first (so the outermost-first order is OF, IF, SY, SX).
 _POS_TSX, _POS_TSY, _POS_TIF, _POS_TOF = 6, 7, 8, 9
-_CTRL_AXIS = {_POS_TSX: Axis.SX, _POS_TSY: Axis.SY,
-              _POS_TIF: Axis.IF, _POS_TOF: Axis.OF}
 
 # Rows of a layer's stacked extents (see _layer_extents): the six body
 # axes, then the controlling trip counts at their own positions.
 _AXIS_ROW = {Axis.OF: 0, Axis.IF: 1, Axis.SY: 2, Axis.SX: 3,
              Axis.FY: 4, Axis.FX: 5}
 
-_W_DIMS = {Axis.FX, Axis.FY, Axis.IF, Axis.OF}
-_O_DIMS = {Axis.SX, Axis.SY, Axis.OF}
+# Rows of the array's own axes, whose loops inside a prefix set multiply
+# its footprint; inputs take spatial tiles and kernels as windows.
+_FOOT_ROWS = {"I": (1, 6, 7, 8), "W": (0, 1, 4, 5, 8, 9),
+              "O": (0, 2, 3, 6, 7, 9)}
 
 
 @dataclass(frozen=True)
@@ -121,11 +131,15 @@ class OrderingPlan:
     y_pair: tuple[int, int]
     # Row of the layer's stacked extents at each of the ten positions.
     rows: tuple[int, ...]
+    # Prefix set of each cut c = 0..10, the loops below position c, as a
+    # bit mask over their rows: layer-independent ids, 68 in all.
+    pre: tuple[int, ...]
 
 
 @functools.cache
 def _make_plan(ordering: Ordering) -> OrderingPlan:
     pos = {a: i for i, a in enumerate(ordering)}
+    rows = tuple(_AXIS_ROW[a] for a in ordering) + (6, 7, 8, 9)
     carriers = {
         "I": tuple(sorted({max(pos[Axis.FX], pos[Axis.SX]),
                            max(pos[Axis.FY], pos[Axis.SY]),
@@ -141,7 +155,8 @@ def _make_plan(ordering: Ordering) -> OrderingPlan:
         ordering=ordering, carriers=carriers, cand_levels=cand,
         x_pair=(pos[Axis.FX], pos[Axis.SX]),
         y_pair=(pos[Axis.FY], pos[Axis.SY]),
-        rows=tuple(_AXIS_ROW[a] for a in ordering) + (6, 7, 8, 9),
+        rows=rows,
+        pre=tuple(sum(1 << r for r in rows[:c]) for c in range(11)),
     )
 
 
@@ -150,24 +165,10 @@ def precompute_requirements(prune: bool = True) -> tuple[OrderingPlan, ...]:
     return tuple(_make_plan(o) for o in enumerate_permutations(prune))
 
 
-@dataclass
-class _Tables:
-    """Vectorized per-(ordering, layer) candidate tables over tile combos."""
-
-    ext: np.ndarray          # (10, T) loop extents
-    suffix: np.ndarray       # (10, T) product of extents above each position
-    ft: dict[str, np.ndarray]   # (11, T); ft[a][p] = footprint below position p
-    carrier_masks: dict[str, list[tuple[int, np.ndarray]]]
-
-
 def _tile_vectors(menus: dict[Axis, tuple[int, ...]]) -> tuple[np.ndarray, ...]:
-    grids = np.meshgrid(
-        np.asarray(menus[Axis.OF], dtype=np.int64),
-        np.asarray(menus[Axis.IF], dtype=np.int64),
-        np.asarray(menus[Axis.SY], dtype=np.int64),
-        np.asarray(menus[Axis.SX], dtype=np.int64),
-        indexing="ij",
-    )
+    """(mss, css, iss, jss) over every combination of the tile menus."""
+    grids = np.meshgrid(*(np.asarray(menus[a], dtype=np.int64)
+                          for a in TILEABLE_AXES), indexing="ij")
     return tuple(g.reshape(-1) for g in grids)
 
 
@@ -191,115 +192,62 @@ def _layer_extents(layer: LayerShape,
     return ext
 
 
-def _build_tables(plan: OrderingPlan, layer: LayerShape,
-                  extents: np.ndarray) -> _Tables:
-    """The ordering's tables from the layer's stacked `extents`."""
-    t = extents.shape[1]
-    ext = extents.take(plan.rows, axis=0)
-    axes = plan.ordering + tuple(_CTRL_AXIS[p] for p in range(6, 10))
+@dataclass(frozen=True)
+class _Prefixes:
+    """A layer's loop extents and its tables per prefix set, over tiles.
 
-    # Running products go row by row: numpy's cumprod along the first
-    # axis is several times slower on these short, wide tables.
-    suffix = np.ones((10, t), dtype=np.int64)
-    for p in range(8, -1, -1):
-        np.multiply(suffix[p + 1], ext[p + 1], out=suffix[p])
-
-    ft = {a: np.ones((11, t), dtype=np.int64) for a in ("I", "W", "O")}
-    for a, dims in (("W", _W_DIMS), ("O", _O_DIMS)):
-        for p, axis in enumerate(axes):
-            if axis in dims:
-                np.multiply(ft[a][p], ext[p], out=ft[a][p + 1])
-            else:
-                ft[a][p + 1] = ft[a][p]
-
-    # Inputs: channel product times a window factor per spatial dim; each
-    # factor changes only at its own positions.
-    def window(state, kernel: int):
-        k_in, s, trips = state
-        if s is None:
-            base = kernel if k_in else 1
-        else:
-            base = (s - 1) * layer.stride + kernel if k_in else s
-        return base if trips is None else base * trips
-
-    # Per spatial dim: (kernel loop below, spatial extent, trip count).
-    slot = {plan.x_pair[0]: ("x", 0), plan.x_pair[1]: ("x", 1),
-            _POS_TSX: ("x", 2), plan.y_pair[0]: ("y", 0),
-            plan.y_pair[1]: ("y", 1), _POS_TSY: ("y", 2)}
-    state = {"x": [False, None, None], "y": [False, None, None]}
-    kernel = {"x": layer.k_w, "y": layer.k_h}
-    factor = {"x": 1, "y": 1}
-    channels = 1
-    fi = ft["I"]
-    for p, axis in enumerate(axes):
-        if axis is Axis.IF:
-            channels = channels * ext[p]
-        elif p in slot:
-            dim, i = slot[p]
-            state[dim][i] = True if i == 0 else ext[p]
-            factor[dim] = window(state[dim], kernel[dim])
-        else:
-            fi[p + 1] = fi[p]
-            continue
-        fi[p + 1] = channels * factor["x"] * factor["y"]
-
-    # A carrier position carries iff its extent exceeds one; the input
-    # spatial carriers also need the kernel in that dim to exceed one.
-    masks: dict[str, list[tuple[int, np.ndarray]]] = {}
-    for a in ("I", "W", "O"):
-        lst = []
-        for p in plan.carriers[a]:
-            m = ext[p] > 1
-            if a == "I":
-                if p == max(plan.x_pair) and layer.k_w == 1:
-                    m = np.zeros(t, dtype=bool)
-                if p == max(plan.y_pair) and layer.k_h == 1:
-                    m = np.zeros(t, dtype=bool)
-            lst.append((p, m))
-        masks[a] = lst
-    return _Tables(ext=ext, suffix=suffix, ft=ft, carrier_masks=masks)
-
-
-def _level_tables(tabs: _Tables, plan: OrderingPlan, array: str
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(traffic-units, buffer-elements) per candidate level, each (nL, T).
-
-    The buffer is the footprint below the highest carrier at or under the
-    level that carries; levels and carriers both ascend.
+    Row i of each (K, T) table belongs to the prefix set ids[i]: ft[a] is
+    array a's footprint inside the set, `outside` the product of the
+    extents outside it.
     """
-    levels = plan.cand_levels[array]
-    ft = tabs.ft[array]
-    tr = ft[np.add(levels, 1)] * tabs.suffix[list(levels)]
-    bf = np.empty_like(tr)
-    carriers = tabs.carrier_masks[array][::-1]
-    b = np.ones(tr.shape[1], dtype=np.int64)
-    for i, lvl in enumerate(levels):
-        while carriers and carriers[-1][0] <= lvl:
-            p, mask = carriers.pop()
-            b = np.where(mask, ft[p], b)
-        bf[i] = b
-    return tr, bf
+
+    extents: np.ndarray         # (10, T), rows per _AXIS_ROW
+    carries: np.ndarray         # (10, T) extents > 1
+    ids: np.ndarray             # (K,) ascending
+    ft: dict[str, np.ndarray]   # (K, T) per array
+    outside: np.ndarray         # (K, T)
 
 
-def _o_acc_table(tabs: _Tables, plan: OrderingPlan, layer: LayerShape
-                 ) -> np.ndarray:
-    """Partial-sum spill bytes per candidate O level, (nL, T).
+def _prefix_tables(layer: LayerShape, extents: np.ndarray,
+                   plans: tuple[OrderingPlan, ...]) -> _Prefixes:
+    """The layer's tables for every prefix set the plans cut at."""
+    ids = np.unique(np.asarray([plan.pre for plan in plans], dtype=np.int64))
+    inside = (ids >> np.arange(10)[:, None]) & 1 == 1   # (10, K)
+    shape = (ids.size, extents.shape[1])
+    ft = {a: np.ones(shape, dtype=np.int64) for a in "IWO"}
+    outside = np.ones(shape, dtype=np.int64)
+    for r, ext in enumerate(extents):
+        np.multiply(outside, ext, out=outside, where=~inside[r, :, None])
+        for a, rows in _FOOT_ROWS.items():
+            if r in rows:
+                np.multiply(ft[a], ext, out=ft[a], where=inside[r, :, None])
+    # The input window per spatial dim: the rows or columns the spatial
+    # tile (one if its loop is outside) reads through the kernel (a point
+    # if the kernel loop is outside).
+    for kernel_axis, axis in ((Axis.FX, Axis.SX), (Axis.FY, Axis.SY)):
+        k, s = _AXIS_ROW[kernel_axis], _AXIS_ROW[axis]
+        tile = np.where(inside[s, :, None], extents[s], 1)
+        ft["I"] *= np.where(inside[k, :, None],
+                            (tile - 1) * layer.stride + extents[k], tile)
+    return _Prefixes(extents=extents, carries=extents > 1, ids=ids, ft=ft,
+                     outside=outside)
 
-    Each O-carrying loop above the level multiplies the accumulation
-    passes; every pass beyond the first costs a write plus a read of all
-    distinct outputs at accumulator precision.
+
+def _carrier_masks(plan: OrderingPlan, layer: LayerShape, tabs: _Prefixes,
+                   array: str) -> list[tuple[int, np.ndarray]]:
+    """(position, carries on each tile) of the array's potential carriers.
+
+    A carrier position carries iff its extent exceeds one; the input
+    spatial carriers also need the kernel in that dim to exceed one.
     """
-    levels = plan.cand_levels["O"]
-    distinct = layer.c_out * layer.out_h * layer.out_w
-    out = np.empty((len(levels), tabs.ext.shape[1]), dtype=np.int64)
-    carriers = list(tabs.carrier_masks["O"])
-    passes = np.ones(out.shape[1], dtype=np.int64)
-    for i in reversed(range(len(levels))):
-        while carriers and carriers[-1][0] > levels[i]:
-            p, mask = carriers.pop()
-            passes = np.where(mask, passes * tabs.ext[p], passes)
-        out[i] = passes
-    return 2 * layer.p_acc * distinct * (out - 1)
+    masks = []
+    for p in plan.carriers[array]:
+        mask = tabs.carries[plan.rows[p]]
+        if array == "I" and ((p == max(plan.x_pair) and layer.k_w == 1)
+                             or (p == max(plan.y_pair) and layer.k_h == 1)):
+            mask = np.zeros_like(mask)
+        masks.append((p, mask))
+    return masks
 
 
 def _compact_table(extents: np.ndarray) -> np.ndarray:
@@ -466,20 +414,51 @@ _Arrays = list[tuple[np.ndarray, np.ndarray]]
 
 
 def _byte_tables(plan: OrderingPlan, layer: LayerShape,
-                 extents: np.ndarray) -> _Arrays:
+                 tabs: _Prefixes) -> _Arrays:
     """(traffic, buffer) bytes per candidate level of I, W and O.
 
-    The constant output write joins the input traffic, so the output's
-    traffic is its partial-sum spill alone.
+    A level moves the footprint inside the cut just above it once per
+    iteration of the loops outside that cut.  The buffer is the footprint
+    inside the highest carrier at or under the level that carries; levels
+    and carriers both ascend.  The constant output write joins the input
+    traffic, so the output's traffic is its partial-sum spill alone.
     """
-    tabs = _build_tables(plan, layer, extents)
-    ti, bi = _level_tables(tabs, plan, "I")
-    tw, bw = _level_tables(tabs, plan, "W")
-    _, bo = _level_tables(tabs, plan, "O")
+    cut = np.searchsorted(tabs.ids, plan.pre)   # table row per cut
+
+    def moved(array: str) -> np.ndarray:
+        at = cut[np.add(plan.cand_levels[array], 1)]
+        return tabs.ft[array][at] * tabs.outside[at]
+
+    def buffers(array: str) -> np.ndarray:
+        levels = plan.cand_levels[array]
+        out = np.ones((len(levels), tabs.extents.shape[1]), dtype=np.int64)
+        for p, mask in _carrier_masks(plan, layer, tabs, array):
+            np.copyto(out[bisect.bisect_left(levels, p):],
+                      tabs.ft[array][cut[p]], where=mask)
+        return out
+
     distinct = layer.c_out * layer.out_h * layer.out_w
-    return [(layer.p_in * ti + layer.p_out * distinct, layer.p_in * bi),
-            (layer.p_w * tw, layer.p_w * bw),
-            (_o_acc_table(tabs, plan, layer), layer.p_acc * bo)]
+    return [(layer.p_in * moved("I") + layer.p_out * distinct,
+             layer.p_in * buffers("I")),
+            (layer.p_w * moved("W"), layer.p_w * buffers("W")),
+            (_spill(plan, layer, tabs), layer.p_acc * buffers("O"))]
+
+
+def _spill(plan: OrderingPlan, layer: LayerShape, tabs: _Prefixes
+           ) -> np.ndarray:
+    """Partial-sum spill bytes per candidate O level, (nL, T).
+
+    Each O-carrying loop above the level multiplies the accumulation
+    passes; every pass beyond the first costs a write plus a read of all
+    distinct outputs at accumulator precision.
+    """
+    levels = plan.cand_levels["O"]
+    distinct = layer.c_out * layer.out_h * layer.out_w
+    passes = np.ones((len(levels), tabs.extents.shape[1]), dtype=np.int64)
+    for p, mask in _carrier_masks(plan, layer, tabs, "O"):
+        below = passes[:bisect.bisect_left(levels, p)]
+        np.multiply(below, tabs.extents[plan.rows[p]], out=below, where=mask)
+    return 2 * layer.p_acc * distinct * (passes - 1)
 
 
 def _columns(arrays: _Arrays, cols: np.ndarray) -> _Arrays:
@@ -619,12 +598,13 @@ def _check_int64_range(layer: LayerShape,
             f"search's 64-bit arithmetic (limit {_HUGE})")
 
 
-def _layer_space(layer: LayerShape, menus: dict) -> tuple:
-    """(tile vectors, stacked extents, compact table), int64 range checked."""
+def _layer_space(layer: LayerShape, menus: dict,
+                 plans: tuple[OrderingPlan, ...]) -> tuple:
+    """(tile vectors, prefix tables, compact table), int64 range checked."""
     _check_int64_range(layer, menus)
     tiles = _tile_vectors(menus)
     extents = _layer_extents(layer, tiles)
-    return tiles, extents, _compact_table(extents)
+    return tiles, _prefix_tables(layer, extents, plans), _compact_table(extents)
 
 
 def _nest_of(layer: LayerShape, payload: tuple
@@ -683,10 +663,13 @@ def _evaluate(layer: LayerShape, budgets: tuple[int, ...],
     `fallback_of(arrays, serial)` names an ordering's candidate as
     _first_least does, one of its least buffer (serial(level indices,
     tile) serializes one); the least (buffer, traffic) of those, the
-    first on ties, is reported.
+    first on ties, is reported.  The fallback is lazy: it is taken only
+    when some budget needs it, and only from the orderings whose least
+    buffer is the least of all, the only ones that can hold it; their
+    tables are built again for it.
     """
-    tiles, extents, compact = _layer_space(layer, menus)
-    n_t = extents.shape[1]
+    tiles, tabs, compact = _layer_space(layer, menus, plans)
+    n_t = tabs.extents.shape[1]
     budgets_v = np.asarray(budgets, dtype=np.int64)
 
     def candidate(plan: OrderingPlan, idx, t: int):
@@ -700,17 +683,15 @@ def _evaluate(layer: LayerShape, budgets: tuple[int, ...],
 
     stairs = _Staircase(budgets)
     ordering_best = np.full((len(plans), len(budgets)), -1, dtype=np.int64)
-    fallback: tuple | None = None  # smallest-buffer candidate overall
+    floors = []  # each ordering's smallest buffer
     candidates = 0
 
     for oi, plan in enumerate(plans):
-        arrays = _byte_tables(plan, layer, extents)
+        arrays = _byte_tables(plan, layer, tabs)
         candidates += math.prod(w.shape[0] for _, w in arrays) * n_t
 
-        floor, total, idx, t = fallback_of(
-            arrays, lambda idx, t, plan=plan: candidate(plan, idx, t)[0])
-        if fallback is None or (floor, total) < fallback[:2]:
-            fallback = (floor, total, plan, idx, t)
+        floor = int(sum(w.min(axis=0) for _, w in arrays).min())
+        floors.append(floor)
         reach = np.unique(budgets_v[budgets_v >= floor])
         if reach.size == 0:
             continue
@@ -738,8 +719,17 @@ def _evaluate(layer: LayerShape, budgets: tuple[int, ...],
         ordering_best[oi] = stairs.add(st.reshape(-1), sb.reshape(-1), floor,
                                        acc_of, levels_of, decode)
 
-    results = _answers(layer, budgets, stairs,
-                       candidate(*fallback[2:])[1], candidates)
+    fallback = None  # (traffic, payload) of the least-buffer candidate
+    if (stairs.win < 0).any():
+        least = min(floors)
+        for plan in (p for p, f in zip(plans, floors) if f == least):
+            _, total, idx, t = fallback_of(
+                _byte_tables(plan, layer, tabs),
+                lambda idx, t, plan=plan: candidate(plan, idx, t)[0])
+            if fallback is None or total < fallback[0]:
+                fallback = (total, candidate(plan, idx, t)[1])
+        fallback = fallback[1]
+    results = _answers(layer, budgets, stairs, fallback, candidates)
     return results, ordering_best, candidates
 
 
@@ -790,8 +780,9 @@ def min_budget_for_ideal(layer: LayerShape,
     probe of the tiles of least bound, drops every tile bounded at or
     above it.
     """
-    _, extents, _ = _layer_space(
-        layer, enumerate_tiles(layer, policy or TilePolicy()))
+    plans = precompute_requirements(prune)
+    _, tabs, _ = _layer_space(
+        layer, enumerate_tiles(layer, policy or TilePolicy()), plans)
     ideal = ideal_traffic(layer)
     least = _HUGE
 
@@ -800,8 +791,8 @@ def min_budget_for_ideal(layer: LayerShape,
         at = sb[st == ideal]
         return int(at.min()) if at.size else _HUGE
 
-    for plan in precompute_requirements(prune):
-        arrays = _byte_tables(plan, layer, extents)
+    for plan in plans:
+        arrays = _byte_tables(plan, layer, tabs)
         bound = _lower_bound([(w, v) for v, w in arrays],
                              np.asarray([ideal], dtype=np.int64))[0]
         probe = np.argsort(bound, kind="stable")[:_PROBE]

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
-from convsched import LayerSuite, find_builtin_layer
+from convsched import (
+    LayerShape, LayerSuite, best_schedule, find_builtin_layer, oracle,
+    schedule_to_json,
+)
 from convsched.cli import CSV_COLUMNS, main, parse_budget_list, parse_byte_size
 from conftest import make_tiny
 
@@ -264,8 +268,12 @@ def test_validate_csv_per_array_rows(capsys, tiny_suite_file,
     assert arrays == ["I", "W", "O", "total"]
 
 
-def test_validate_refuses_oversized_nest_with_exit_3(capsys, tmp_path):
-    layer = find_builtin_layer("AlexNet-2")
+def test_validate_refuses_oversized_nest_with_exit_3(capsys, tmp_path,
+                                                     monkeypatch):
+    # 512 maps in and out, 56x56 outputs, a 3x3 kernel: 7.4 G iterations
+    # untiled, over the default cap.  The cap is checked before the walk.
+    layer = LayerShape(name="big", out_h=56, out_w=56, k_h=3, k_w=3,
+                       stride=1, c_in=512, c_out=512)
     suite = LayerSuite("one", (layer,))
     suite_path = tmp_path / "one.json"
     suite_path.write_text(suite.to_json())
@@ -273,10 +281,34 @@ def test_validate_refuses_oversized_nest_with_exit_3(capsys, tmp_path):
     sched_path.write_text(json.dumps({
         "order": ["FX", "FY", "SX", "SY", "IF", "OF"], "tiles": {},
         "buffering": {"I": 5, "W": 5, "O": 5}}))
+
+    def walked(*args):
+        raise RuntimeError("the walk started")
+
+    monkeypatch.setattr(oracle, "_coefficients", walked)
     code, _, err = run(capsys, "validate", "--layer-file", str(suite_path),
                        "--schedule", str(sched_path))
     assert code == 3
     assert "refused" in err.lower() or "cap" in err.lower()
+    assert f"needs {512 * 512 * 56 * 56 * 9} iterations" in err
+    assert f"cap of {oracle.DEFAULT_CAP}" in err
+
+
+def test_default_oracle_cap_admits_built_in_winners_past_10_8(capsys,
+                                                              tmp_path):
+    # The cheapest of the built-in layers' winners at 1, 4, 64 and 256 KiB
+    # that run over 10^8 iterations (107 of the 272 do; the largest, 2.1 G).
+    layer = find_builtin_layer("Inception-0-6")
+    res = best_schedule(layer, 256 * 1024)
+    iterations = math.prod(loop.extent for loop in res.schedule.loops)
+    assert 10 ** 8 < iterations == 101_606_400 <= oracle.DEFAULT_CAP
+    assert oracle.validate(res.schedule, res.assignment).undercounts == ()
+    sched_path = tmp_path / "s.json"
+    sched_path.write_text(schedule_to_json(res.schedule, res.assignment))
+    code, out, _ = run(capsys, "validate", "--layer", "Inception-0-6",
+                       "--schedule", str(sched_path))
+    assert code == 0
+    assert "undercounts: none" in out
 
 
 # --- distribution --------------------------------------------------------------

@@ -22,6 +22,7 @@ from convsched import (
     Axis,
     BufferingAssignment,
     LayerShape,
+    LayerSuite,
     SearchConfig,
     TilePolicy,
     Tiles,
@@ -41,6 +42,7 @@ from convsched import (
     traffic,
 )
 from convsched import baselines, search
+from convsched.cli import main
 from convsched.search import worker_count
 from convsched.space import enumerate_tiles
 from conftest import make_tiny
@@ -430,12 +432,13 @@ def _brute_force(layer, budgets, policy):
     also the least buffer at ideal traffic."""
     plans = search.precompute_requirements()
     tiles = search._tile_vectors(enumerate_tiles(layer, policy))
-    extents = search._layer_extents(layer, tiles)
+    tabs = search._prefix_tables(
+        layer, search._layer_extents(layer, tiles), plans)
     ideal = ideal_traffic(layer)
     candidates, shapes, at_ideal = [], [], []
     for plan in plans:
         (ti, bi), (tw, bw), (to, bo) = search._byte_tables(
-            plan, layer, extents)
+            plan, layer, tabs)
         st = ti[:, None, None] + tw[None, :, None] + to[None, None]
         sb = bi[:, None, None] + bw[None, :, None] + bo[None, None]
         acc = np.broadcast_to(to[None, None], st.shape)
@@ -456,12 +459,13 @@ def _brute_force(layer, budgets, policy):
 def _brute_force_cache(layer, budgets, policy):
     plans = search.precompute_requirements()
     tiles = search._tile_vectors(enumerate_tiles(layer, policy))
-    extents = search._layer_extents(layer, tiles)
+    tabs = search._prefix_tables(
+        layer, search._layer_extents(layer, tiles), plans)
     final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
     candidates = []
     for plan in plans:
         t_in, t_w, acc, b_in, b_w, b_o = baselines._cache_tables(
-            plan, layer, extents)
+            plan, layer, tabs)
         tot, ws = t_in + t_w + acc + final, b_in + b_w + b_o
         candidates.append((tot.reshape(-1), ws.reshape(-1), acc.reshape(-1)))
 
@@ -508,3 +512,208 @@ def test_pruned_search_matches_brute_force_over_the_full_space():
                 min_budget_for_ideal(layer, policy)
         else:
             assert min_budget_for_ideal(layer, policy) == at_ideal
+
+
+# ---------------------------------------------------------------------------
+# The per-layer prefix tables against a per-ordering reference, entry by
+# entry.  The reference is the builder the prefix tables replaced: one
+# ordering at a time, running products row by row along its own nest.
+
+_REF_CTRL_AXIS = {6: Axis.SX, 7: Axis.SY, 8: Axis.IF, 9: Axis.OF}
+_REF_W_DIMS = {Axis.FX, Axis.FY, Axis.IF, Axis.OF}
+_REF_O_DIMS = {Axis.SX, Axis.SY, Axis.OF}
+
+
+def _reference_tables(plan, layer, extents):
+    """(ext, suffix, ft, carrier masks) of one ordering: its extents,
+    the product above each position, each array's footprint below each
+    position and, per array, (position, carries) of its carriers."""
+    t = extents.shape[1]
+    ext = extents.take(plan.rows, axis=0)
+    axes = plan.ordering + tuple(_REF_CTRL_AXIS[p] for p in range(6, 10))
+    suffix = np.ones((10, t), dtype=np.int64)
+    for p in range(8, -1, -1):
+        suffix[p] = suffix[p + 1] * ext[p + 1]
+    ft = {a: np.ones((11, t), dtype=np.int64) for a in ("I", "W", "O")}
+    for a, dims in (("W", _REF_W_DIMS), ("O", _REF_O_DIMS)):
+        for p, axis in enumerate(axes):
+            ft[a][p + 1] = ft[a][p] * ext[p] if axis in dims else ft[a][p]
+
+    def window(state, kernel):
+        k_in, s, trips = state
+        if s is None:
+            base = kernel if k_in else 1
+        else:
+            base = (s - 1) * layer.stride + kernel if k_in else s
+        return base if trips is None else base * trips
+
+    slot = {plan.x_pair[0]: ("x", 0), plan.x_pair[1]: ("x", 1),
+            6: ("x", 2), plan.y_pair[0]: ("y", 0),
+            plan.y_pair[1]: ("y", 1), 7: ("y", 2)}
+    state = {"x": [False, None, None], "y": [False, None, None]}
+    kernel = {"x": layer.k_w, "y": layer.k_h}
+    factor = {"x": 1, "y": 1}
+    channels = 1
+    for p, axis in enumerate(axes):
+        if axis is Axis.IF:
+            channels = channels * ext[p]
+        elif p in slot:
+            dim, i = slot[p]
+            state[dim][i] = True if i == 0 else ext[p]
+            factor[dim] = window(state[dim], kernel[dim])
+        else:
+            ft["I"][p + 1] = ft["I"][p]
+            continue
+        ft["I"][p + 1] = channels * factor["x"] * factor["y"]
+
+    masks = {}
+    for a in ("I", "W", "O"):
+        masks[a] = []
+        for p in plan.carriers[a]:
+            m = ext[p] > 1
+            if a == "I" and ((p == max(plan.x_pair) and layer.k_w == 1)
+                             or (p == max(plan.y_pair) and layer.k_h == 1)):
+                m = np.zeros(t, dtype=bool)
+            masks[a].append((p, m))
+    return ext, suffix, ft, masks
+
+
+def _reference_byte_tables(plan, layer, ref):
+    """search._byte_tables of one ordering from its _reference_tables,
+    level by level."""
+    ext, suffix, ft, masks = ref
+    distinct = layer.c_out * layer.out_h * layer.out_w
+    out = {}
+    for a in ("I", "W", "O"):
+        levels = plan.cand_levels[a]
+        tr = ft[a][np.add(levels, 1)] * suffix[list(levels)]
+        bf = np.empty_like(tr)
+        b = np.ones(tr.shape[1], dtype=np.int64)
+        for i, lvl in enumerate(levels):
+            for p, mask in masks[a]:
+                if p <= lvl:
+                    b = np.where(mask, ft[a][p], b)
+            bf[i] = b
+        out[a] = tr, bf
+    levels = plan.cand_levels["O"]
+    passes = np.ones((len(levels), ext.shape[1]), dtype=np.int64)
+    for i, lvl in enumerate(levels):
+        for p, mask in masks["O"]:
+            if p > lvl:
+                passes[i] = np.where(mask, passes[i] * ext[p], passes[i])
+    return [(layer.p_in * out["I"][0] + layer.p_out * distinct,
+             layer.p_in * out["I"][1]),
+            (layer.p_w * out["W"][0], layer.p_w * out["W"][1]),
+            (2 * layer.p_acc * distinct * (passes - 1),
+             layer.p_acc * out["O"][1])]
+
+
+def _reference_cache_tables(layer, ref):
+    """baselines._cache_tables of one ordering from its _reference_tables."""
+    _, suffix, ft, masks = ref
+    final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
+    visits = ft["O"][1:] * suffix
+    interrupted = np.zeros(visits.shape, dtype=bool)
+    for p, mask in masks["O"]:
+        interrupted[:p] |= mask
+    t_acc = np.where(interrupted, 2 * layer.p_acc * visits,
+                     layer.p_out * visits) - final
+    b_in, b_w = layer.p_in * ft["I"][1:], layer.p_w * ft["W"][1:]
+    return (b_in * suffix, b_w * suffix, t_acc,
+            b_in, b_w, layer.p_acc * ft["O"][1:])
+
+
+def _same(got, want):
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert (got == want).all()
+
+
+def test_prefix_tables_match_the_per_ordering_reference():
+    # Every entry of the search's and the cache model's tables, not only
+    # the winners': all 720 orderings, the pruned 180 and the HWC plan, each
+    # set's prefix tables built on their own.  The desk layers and their
+    # transposes have 1-wide kernels in either dimension (no input carrier
+    # there), strides above the kernel, rectangular kernels and tiles that
+    # do not divide the extents.
+    from convsched.casestudy import _HWC_PLAN
+    plan_sets = (search.precompute_requirements(prune=False),
+                 search.precompute_requirements(), (_HWC_PLAN,))
+    for base in _desk_layers(seed=2):
+        for layer in (base, base.transpose()):
+            extents = search._layer_extents(layer, search._tile_vectors(
+                enumerate_tiles(layer, TilePolicy())))
+            for plans in plan_sets:
+                tabs = search._prefix_tables(layer, extents, plans)
+                for plan in plans:
+                    ref = _reference_tables(plan, layer, extents)
+                    got = search._byte_tables(plan, layer, tabs)
+                    want = _reference_byte_tables(plan, layer, ref)
+                    for (tr, bf), (ref_tr, ref_bf) in zip(got, want):
+                        _same(tr, ref_tr)
+                        _same(bf, ref_bf)
+                    for part, ref_part in zip(
+                            baselines._cache_tables(plan, layer, tabs),
+                            _reference_cache_tables(layer, ref)):
+                        _same(part, ref_part)
+    assert len({i for plans in plan_sets[:2] for p in plans
+                for i in p.pre}) == 68
+    assert len({i for p in plan_sets[1] for i in p.pre}) == 40
+
+
+def test_unpruned_search_covers_720_orderings_and_never_loses(capsys,
+                                                               tmp_path):
+    # The unpruned space cuts at prefix sets the pruned 180 never do (FY
+    # inside without FX); its orderings shared with the pruned space keep
+    # their bests, and its winner is never worse.
+    layer = next(_desk_layers(seed=3))  # 3x1 kernel, stride 2
+    sets = _budget_sets(layer)
+    budgets = sets["one"] + sets["ten octaves"] + sets["below the floor"]
+    pruned = evaluate_layer(layer, budgets)
+    full = evaluate_layer(layer, budgets, prune=False)
+    assert full.orderings == enumerate_permutations(prune=False)
+    assert full.ordering_best.shape == (720, len(budgets))
+    shared = [full.orderings.index(o) for o in pruned.orderings]
+    assert (full.ordering_best[shared] == pruned.ordering_best).all()
+    for b, (got, ref) in enumerate(zip(full.results, pruned.results)):
+        col = full.ordering_best[:, b]
+        assert got.feasible == ref.feasible == (col >= 0).any()
+        if got.feasible:
+            assert got.report.total == col[col >= 0].min()
+            assert got.report.total <= ref.report.total
+
+    path = tmp_path / "desk.json"
+    path.write_text(LayerSuite("desk", (layer,)).to_json())
+    code = main(["search", "--layer-file", str(path), "--budget",
+                 str(budgets[0]), "--no-prune"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert f"candidates {full.candidates}" in out
+
+
+def test_fallback_is_taken_only_when_a_budget_needs_it(monkeypatch):
+    # No budget below every buffer: the no-fit fallback is never computed.
+    # Budgets below every buffer, mixed with ones that fit, answer as they
+    # do alone, for the search and for the HWC on the same engine.
+    def refused(*args):
+        raise RuntimeError("no-fit fallback computed")
+
+    tiny = make_tiny()
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_first_least", refused)
+        ev = evaluate_layer(tiny, (1024, 65536))
+        assert all(r.feasible for r in ev.results)
+        with pytest.raises(RuntimeError, match="no-fit"):
+            evaluate_layer(tiny, (4,))
+
+    from convsched.casestudy import hwc_results
+    budgets = (1, 1024, 4, 1 << 20)
+    for layer in (tiny, next(_desk_layers(seed=4))):
+        ev = evaluate_layer(layer, budgets)
+        hwc = hwc_results(layer, budgets)
+        assert not ev.results[0].feasible and not ev.results[2].feasible
+        for b, budget in enumerate(budgets):
+            one = evaluate_layer(layer, (budget,))
+            assert _outcome(ev.results[b]) == _outcome(one.results[0])
+            assert (ev.ordering_best[:, b] == one.ordering_best[:, 0]).all()
+            assert (_outcome(hwc[b])
+                    == _outcome(hwc_results(layer, (budget,))[0]))
