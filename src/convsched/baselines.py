@@ -2,9 +2,12 @@
 
 The buffer baseline fixes the canonical nest and picks one controlling loop
 to run innermost with its axis held fully resident, which yields four cases
-(output channels, input channels, rows, columns innermost).  Each case pays
-the full working set of the other three tile loops per trip, so its best
-result can never beat the exhaustive search, only match it.
+(output channels, input channels, rows, columns innermost).  One rule
+prices all four: with the case's axis at full extent, the working set of
+the tiles moves once per trip of the other three axes, and outputs
+round-trip at accumulator precision while the input channels take more
+than one trip.  Its best result can never beat the exhaustive search, only
+match it.
 
 The cache baseline localizes the k innermost loops of an arbitrary ordering:
 everything the localized space touches must fit at once, and each outer trip
@@ -19,6 +22,7 @@ budget, with the search's tie-break and exact cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +38,7 @@ from .search import (
     _nest_of, _prefix_tables, _Staircase, _tile_vectors,
     precompute_requirements,
 )
-from .space import TilePolicy, enumerate_tiles
+from .space import TILEABLE_AXES, TilePolicy, enumerate_tiles
 
 PEEMEN_CASES = ("TOF", "TIF", "TSY", "TSX")
 
@@ -78,51 +82,21 @@ def _case_vectors(case: str, layer: LayerShape, mss, css, iss, jss
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t_in, t_w, t_o) byte vectors over the tile grid for one case.
 
-    The innermost controlling loop's trip factor drops out of the products
-    and its axis runs at full extent inside the working set.  Output tiles
-    round-trip per input-channel step at accumulator precision; once the
-    channel loop collapses to a single trip the doubled term degenerates
-    and each output leaves once, at output precision.
+    One rule for all four cases: the case's axis runs at full extent, the
+    working set is _buffer_elements of those tiles, and it moves once per
+    trip of the other three axes.  Outputs round-trip at accumulator
+    precision on every trip while the input channels take more than one
+    trip, and leave once, at output precision, when they take one.
     """
-    ceil_m = -(-layer.c_out // mss)
-    ceil_c = -(-layer.c_in // css)
-    ceil_h = -(-layer.out_h // iss)
-    ceil_w = -(-layer.out_w // jss)
-    k2 = layer.k_h * layer.k_w
-    win_i = window_extent(iss, layer.k_h, layer.stride)
-    win_j = window_extent(jss, layer.k_w, layer.stride)
-
-    if case == "TOF":
-        trips = ceil_c * ceil_h * ceil_w
-        b_i = css * win_i * win_j
-        b_w = layer.c_out * css * k2
-        o_half = layer.c_out * iss * jss
-        doubled = ceil_c > 1
-    elif case == "TIF":
-        trips = ceil_m * ceil_h * ceil_w
-        b_i = layer.c_in * win_i * win_j
-        b_w = mss * layer.c_in * k2
-        o_half = mss * iss * jss
-        doubled = np.zeros(mss.shape, dtype=bool)
-    elif case == "TSY":
-        trips = ceil_m * ceil_c * ceil_w
-        b_i = css * layer.eff_h * win_j
-        b_w = mss * css * k2
-        o_half = mss * layer.out_h * jss
-        doubled = ceil_c > 1
-    elif case == "TSX":
-        trips = ceil_m * ceil_c * ceil_h
-        b_i = css * win_i * layer.eff_w
-        b_w = mss * css * k2
-        o_half = mss * iss * layer.out_w
-        doubled = ceil_c > 1
-    else:
-        raise ValidationError(f"unknown innermost loop {case!r}")
-
-    visits = o_half * trips
-    t_o = np.where(doubled, 2 * layer.p_acc * visits,
-                   layer.p_out * visits)
-    return trips * layer.p_in * b_i, trips * layer.p_w * b_w, t_o
+    tiles = dict(zip(TILEABLE_AXES, (mss, css, iss, jss)))
+    axis = _CASE_AXIS[case]
+    tiles[axis] = np.full_like(tiles[axis], axis_full_extent(axis, layer))
+    trips = {a: -(-axis_full_extent(a, layer) // t) for a, t in tiles.items()}
+    moves = math.prod(trips.values())
+    b_i, b_w, b_o = _buffer_elements(layer, *tiles.values())
+    t_o = np.where(trips[Axis.IF] > 1, 2 * layer.p_acc * moves * b_o,
+                   layer.p_out * moves * b_o)
+    return moves * layer.p_in * b_i, moves * layer.p_w * b_w, t_o
 
 
 def peemen_traffic(candidate: PeemenCandidate, layer: LayerShape) -> int:
@@ -180,8 +154,7 @@ def peemen_results(layer: LayerShape, budgets: tuple[int, ...],
     tie-break is the search's; where nothing fits, the least (buffer,
     traffic, spill, serialization) candidate is reported as infeasible.
     """
-    if any(b <= 0 for b in budgets):
-        raise ValidationError("budget must be positive")
+    stairs = _Staircase(budgets)
     base_menus = enumerate_tiles(layer, policy or TilePolicy())
     # In every case, trips times each case buffer is at most the product of
     # the loop spans (times the stride window, for inputs), so the search's
@@ -230,7 +203,6 @@ def peemen_results(layer: LayerShape, budgets: tuple[int, ...],
         return report
 
     floor, _, _, fb = _least_buffer(arrays, lambda idx, t: decode(t)[0])
-    stairs = _Staircase(budgets)
     stairs.add(t_in + t_w + t_o, sum(w[0] for _, w in arrays), floor,
                arrays[2][0][0].__getitem__, lambda ids: levels[:, ids], decode)
     return _answers(layer, budgets, stairs, decode(fb)[1], case.size,
@@ -262,8 +234,7 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
     included, cost about one; the tie-break is the search's.  Where no
     working set fits, the smallest one is reported as infeasible.
     """
-    if any(b <= 0 for b in budgets):
-        raise ValidationError("budget must be positive")
+    stairs = _Staircase(budgets)
     plans = precompute_requirements()
     tiles, tabs, compact = _layer_space(
         layer, enumerate_tiles(layer, policy or TilePolicy()), plans)
@@ -274,7 +245,6 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
         c = compact[divmod(ids, n_t)]
         return np.stack([c, c, c])
 
-    stairs = _Staircase(budgets)
     fallback = None
     candidates = 0
     for plan in plans:

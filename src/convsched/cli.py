@@ -16,14 +16,11 @@ import sys
 from pathlib import Path
 
 from .layers import LayerShape, LayerSuite, ValidationError, parse_layer_suite
-from .model import schedule_from_json, schedule_to_json, traffic
+from .model import ARRAYS, schedule_from_json, schedule_to_json, traffic
 from .oracle import DEFAULT_CAP, OracleCapError, validate
-from .search import (
-    MODEL_ORDER, SearchConfig, best_schedule, distribution, sweep,
-)
+from .search import MODEL_ORDER, SearchConfig, _sweep_task, distribution, sweep
 from .space import TILE_POLICY_MODES, TilePolicy
 from .suites import BUILTIN_SUITE_NAMES, builtin_suite, find_builtin_layer
-from .baselines import cache_best, peemen_best
 
 CSV_COLUMNS = ("suite", "layer", "model", "budget", "t_in", "t_w", "t_o_acc",
                "t_o_final", "total", "buffer_bytes", "feasible", "schedule",
@@ -177,23 +174,17 @@ def cmd_analyze(args, out) -> int:
 
 def cmd_search(args, out) -> int:
     suite_name, layer = _resolve_layer(args)
-    if args.model == "ours":
-        config = SearchConfig(budgets=(args.budget,), tile_policy=_policy(args),
-                              prune=not args.no_prune)
-        res = best_schedule(layer, args.budget, config)
-    elif args.model == "peemen":
-        res = peemen_best(layer, args.budget, _policy(args))
-    else:
-        res = cache_best(layer, args.budget, _policy(args))
-    serial = schedule_to_json(res.schedule, res.assignment)
+    # The sweep's own step, so a search row is the sweep's row.
+    [(report, serial, candidates)] = _sweep_task(
+        (layer, args.model, (args.budget,), _policy(args), not args.no_prune))
     if args.format == "csv":
         _emit_csv(out, [_report_row(suite_name, layer.name, args.model,
-                                    args.budget, res.report, serial)])
+                                    args.budget, report, serial)])
     else:
         print(f"layer {layer.name} (suite {suite_name})  model {args.model}  "
-              f"budget {args.budget} B  candidates {res.candidates}", file=out)
+              f"budget {args.budget} B  candidates {candidates}", file=out)
         print(f"schedule {serial}", file=out)
-        _print_report(out, res.report, args.budget)
+        _print_report(out, report, args.budget)
     return 0
 
 
@@ -211,9 +202,8 @@ def cmd_sweep(args, out) -> int:
 
     rows = [_report_row(r.suite, r.layer, r.model, r.budget, r.report,
                         r.schedule_json) for r in result.rows]
-    # An aggregate carries a report's byte fields, so it formats as one.
-    rows += [_report_row(a.suite, _AGGREGATE_LAYER, a.model, a.budget, a,
-                         None, a.overhead_vs_ours_pct)
+    rows += [_report_row(a.suite, _AGGREGATE_LAYER, a.model, a.budget,
+                         a.report, None, a.overhead_vs_ours_pct)
              for a in result.aggregates]
 
     if args.format == "text":
@@ -222,7 +212,8 @@ def cmd_sweep(args, out) -> int:
         print(header, file=out)
         by = {(a.model, a.budget): a for a in result.aggregates}
         for b in result.budgets:
-            cells = " ".join(f"{by[m, b].total:>14}" for m in result.models)
+            cells = " ".join(f"{by[m, b].report.total:>14}"
+                         for m in result.models)
             print(f"{b:>8} {cells}", file=out)
     else:
         _emit_csv(out, rows)
@@ -234,13 +225,8 @@ def cmd_validate(args, out) -> int:
     rep = validate(schedule, assignment, cap=args.oracle_cap)
     model = traffic(schedule, assignment, args.budget)
     tr = rep.oracle
-    rows = [
-        ("I", model.t_in, layer.p_in * tr.loads_i, rep.rel_err_i),
-        ("W", model.t_w, layer.p_w * tr.loads_w, rep.rel_err_w),
-        ("O", model.t_o_acc + model.t_o_final,
-         layer.p_acc * (tr.writes_o_partial + tr.reads_o_partial)
-         + layer.p_out * tr.writes_o_final, rep.rel_err_o),
-    ]
+    rows = [(a, rep.model_bytes[a], rep.oracle_bytes[a], err) for a, err in
+            zip(ARRAYS, (rep.rel_err_i, rep.rel_err_w, rep.rel_err_o))]
     if args.format == "csv":
         w = csv.writer(out, lineterminator="\n")
         w.writerow(("layer", "array", "model_bytes", "oracle_bytes",

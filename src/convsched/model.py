@@ -71,8 +71,8 @@ def window_extent(outputs: int, kernel: int, stride: int) -> int:
 
     The span (outputs-1)*stride + kernel.  When the stride exceeds the
     kernel the windows leave gaps and the span overstates the pixels
-    actually read; that keeps the model an upper bound and consistent with
-    the whole-input term of ideal_traffic.
+    actually read, which keeps the model an upper bound; ideal_report
+    counts only the pixels some window reads, outputs*kernel there.
     """
     return (outputs - 1) * stride + kernel
 
@@ -323,8 +323,14 @@ def buffer_size(array: str, schedule: Schedule, level: int) -> int:
 
 
 def ideal_report(layer: LayerShape) -> TrafficReport:
-    """The reuse floor per array: every element crosses the boundary once."""
-    t_in = layer.p_in * layer.c_in * layer.eff_h * layer.eff_w
+    """The reuse floor per array: every element crosses the boundary once.
+
+    Inputs count only the rows and columns some window reads, so a stride
+    above the kernel leaves its gaps out.
+    """
+    rows, cols = (min(window_extent(o, k, layer.stride), o * k) for o, k in
+                  ((layer.out_h, layer.k_h), (layer.out_w, layer.k_w)))
+    t_in = layer.p_in * layer.c_in * rows * cols
     t_w = layer.p_w * layer.c_out * layer.c_in * layer.k_h * layer.k_w
     t_o = layer.p_out * layer.c_out * layer.out_h * layer.out_w
     return TrafficReport(t_in=t_in, t_w=t_w, t_o_acc=0, t_o_final=t_o,

@@ -99,6 +99,8 @@ class ValidationReport:
     rel_err_o: float
     rel_err_total: float
     undercounts: tuple[str, ...]
+    model_bytes: dict[str, int]    # per array, I, W and O
+    oracle_bytes: dict[str, int]
 
 
 def _element_weights(layer) -> dict[str, dict[Axis, int]]:
@@ -363,5 +365,6 @@ def validate(schedule: Schedule, assignment: BufferingAssignment,
         model=report, oracle=stats,
         rel_err_i=rel["I"], rel_err_w=rel["W"], rel_err_o=rel["O"],
         rel_err_total=(report.total - total_oracle) / total_oracle,
-        undercounts=undercounts,
+        undercounts=undercounts, model_bytes=model_bytes,
+        oracle_bytes=oracle_bytes,
     )

@@ -54,7 +54,7 @@ import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -317,11 +317,14 @@ class _Staircase:
     budget is the first candidate where the running minimum reaches its
     value (the smallest buffer at that traffic); equal buffers sit
     together, so the spill tie-break looks at one contiguous block.
-    Budgets may come in any order and may repeat.
+    Budgets may come in any order and may repeat, but must be positive:
+    every model's budgets pass through here, before any tables are built.
     """
 
     def __init__(self, budgets: tuple[int, ...]):
         self.budgets = np.asarray(budgets, dtype=np.int64)
+        if (self.budgets <= 0).any():
+            raise ValidationError("budget must be positive")
         self.key = np.full((3, self.budgets.size), _HUGE, dtype=np.int64)
         self.win = np.full(self.budgets.size, -1, dtype=np.int64)
         self.steps: list[_Step] = []  # every step that has led somewhere
@@ -668,9 +671,9 @@ def _evaluate(layer: LayerShape, budgets: tuple[int, ...],
     buffer is the least of all, the only ones that can hold it; their
     tables are built again for it.
     """
+    stairs = _Staircase(budgets)
     tiles, tabs, compact = _layer_space(layer, menus, plans)
     n_t = tabs.extents.shape[1]
-    budgets_v = np.asarray(budgets, dtype=np.int64)
 
     def candidate(plan: OrderingPlan, idx, t: int):
         """(serialization, payload) of the (I, W, O) level indices `idx`
@@ -681,7 +684,6 @@ def _evaluate(layer: LayerShape, budgets: tuple[int, ...],
         return (format_schedule(plan.ordering, tile, levels),
                 (plan.ordering, tile, levels, None))
 
-    stairs = _Staircase(budgets)
     ordering_best = np.full((len(plans), len(budgets)), -1, dtype=np.int64)
     floors = []  # each ordering's smallest buffer
     candidates = 0
@@ -692,7 +694,7 @@ def _evaluate(layer: LayerShape, budgets: tuple[int, ...],
 
         floor = int(sum(w.min(axis=0) for _, w in arrays).min())
         floors.append(floor)
-        reach = np.unique(budgets_v[budgets_v >= floor])
+        reach = np.unique(stairs.budgets[stairs.budgets >= floor])
         if reach.size == 0:
             continue
 
@@ -762,8 +764,6 @@ def best_schedule(layer: LayerShape, budget: int,
                   config: SearchConfig | None = None) -> SearchResult:
     """Minimal-traffic feasible schedule for one layer and budget."""
     config = config or SearchConfig()
-    if budget <= 0:
-        raise ValidationError("budget must be positive")
     return evaluate_layer(layer, (budget,), config.tile_policy,
                           config.prune).results[0]
 
@@ -857,14 +857,11 @@ class AggregateRow:
     suite: str
     model: str
     budget: int
-    t_in: int
-    t_w: int
-    t_o_acc: int
-    t_o_final: int
-    total: int
-    buffer_bytes: int
-    feasible: bool
+    report: TrafficReport          # the layers' reports summed field by field
     overhead_vs_ours_pct: float | None
+
+
+_SUMMED = tuple(f.name for f in fields(TrafficReport) if f.name != "feasible")
 
 
 @dataclass(frozen=True)
@@ -965,18 +962,17 @@ def sweep(suite: LayerSuite, config: SearchConfig | None = None,
         for budget in budgets:
             cell = [r for r in rows if r.model == model and r.budget == budget]
             present = [r.report for r in cell if r.report is not None]
-            agg = {f: sum(getattr(r, f) for r in present)
-                   for f in ("t_in", "t_w", "t_o_acc", "t_o_final", "total",
-                             "buffer_bytes")}
-            feasible = all(r.report is not None and r.report.feasible
-                           for r in cell)
-            totals[model, budget] = agg["total"]
+            report = TrafficReport(
+                **{f: sum(getattr(r, f) for r in present) for f in _SUMMED},
+                feasible=all(r.report is not None and r.report.feasible
+                             for r in cell))
+            totals[model, budget] = report.total
             ours = totals.get(("ours", budget))
-            overhead = (100.0 * (agg["total"] - ours) / ours
+            overhead = (100.0 * (report.total - ours) / ours
                         if model == "peemen" and ours else None)
             aggregates.append(AggregateRow(
-                suite=suite.name, model=model, budget=budget,
-                feasible=feasible, overhead_vs_ours_pct=overhead, **agg))
+                suite=suite.name, model=model, budget=budget, report=report,
+                overhead_vs_ours_pct=overhead))
     return SweepResult(suite_name=suite.name, budgets=budgets,
                        models=tuple(all_models), rows=tuple(rows),
                        aggregates=tuple(aggregates))

@@ -41,6 +41,7 @@ from convsched.baselines import (
     peemen_traffic,
 )
 from convsched.cli import main
+from convsched.model import window_extent
 from convsched.search import _HUGE, _nest_of, _tile_vectors
 from convsched.space import enumerate_tiles
 from conftest import make_tiny
@@ -161,6 +162,70 @@ def test_baseline_totals_never_beat_ideal():
 
 
 # ---------------------------------------------------------------------------
+# The one-rule case formula against the four cases written out.
+
+def _reference_case_vectors(case, layer, mss, css, iss, jss):
+    """(t_in, t_w, t_o) byte vectors of one case, each case's trips,
+    working set and output charge written out on their own."""
+    ceil_m = -(-layer.c_out // mss)
+    ceil_c = -(-layer.c_in // css)
+    ceil_h = -(-layer.out_h // iss)
+    ceil_w = -(-layer.out_w // jss)
+    k2 = layer.k_h * layer.k_w
+    win_i = window_extent(iss, layer.k_h, layer.stride)
+    win_j = window_extent(jss, layer.k_w, layer.stride)
+
+    if case == "TOF":
+        trips = ceil_c * ceil_h * ceil_w
+        b_i = css * win_i * win_j
+        b_w = layer.c_out * css * k2
+        o_half = layer.c_out * iss * jss
+        doubled = ceil_c > 1
+    elif case == "TIF":
+        trips = ceil_m * ceil_h * ceil_w
+        b_i = layer.c_in * win_i * win_j
+        b_w = mss * layer.c_in * k2
+        o_half = mss * iss * jss
+        doubled = np.zeros(mss.shape, dtype=bool)
+    elif case == "TSY":
+        trips = ceil_m * ceil_c * ceil_w
+        b_i = css * layer.eff_h * win_j
+        b_w = mss * css * k2
+        o_half = mss * layer.out_h * jss
+        doubled = ceil_c > 1
+    elif case == "TSX":
+        trips = ceil_m * ceil_c * ceil_h
+        b_i = css * win_i * layer.eff_w
+        b_w = mss * css * k2
+        o_half = mss * iss * layer.out_w
+        doubled = ceil_c > 1
+    else:
+        raise ValueError(case)
+
+    visits = o_half * trips
+    t_o = np.where(doubled, 2 * layer.p_acc * visits,
+                   layer.p_out * visits)
+    return trips * layer.p_in * b_i, trips * layer.p_w * b_w, t_o
+
+
+def test_case_vectors_match_the_four_branch_reference():
+    # Every entry, dtype and shape, over the whole tile grid of each case
+    # (the spatial cases' own axis too), under both power-of-two policies.
+    # The desk layers and their transposes hold rectangular and 1x1
+    # kernels, strides above the kernel and tiles that do not divide.
+    layers = [l for seed in (5, 6) for l in _desk_layers(seed)]
+    for layer in layers + [l.transpose() for l in layers]:
+        for policy in (TilePolicy("pow2"), TilePolicy("pow2-extents")):
+            tiles = _tile_vectors(enumerate_tiles(layer, policy))
+            for case in PEEMEN_CASES:
+                got = _case_vectors(case, layer, *tiles)
+                want = _reference_case_vectors(case, layer, *tiles)
+                for g, w in zip(got, want, strict=True):
+                    assert (g.dtype, g.shape) == (w.dtype, w.shape)
+                    assert np.array_equal(g, w), (layer, policy, case)
+
+
+# ---------------------------------------------------------------------------
 # The staircase-ranked Peemen search against a per-case, per-budget loop.
 
 def _embed(candidate, layer):
@@ -187,8 +252,8 @@ def _scalar_peemen(layer, budget, policy=None):
         candidates += mss_v.size
         b_i, b_w, b_o = _buffer_elements(layer, mss_v, css_v, iss_v, jss_v)
         sb = layer.p_in * b_i + layer.p_w * b_w + layer.p_acc * b_o
-        t_in, t_w, t_o = _case_vectors(case, layer, mss_v, css_v, iss_v,
-                                       jss_v)
+        t_in, t_w, t_o = _reference_case_vectors(case, layer, mss_v, css_v,
+                                                 iss_v, jss_v)
         total = t_in + t_w + t_o
         acc = t_o - final
 

@@ -156,6 +156,35 @@ def test_search_baseline_models_agree_with_api(capsys, tiny_suite_file):
     assert row["total"] == "864"
 
 
+@pytest.mark.parametrize("model", ["ours", "peemen", "cache"])
+def test_search_non_positive_budget_is_a_validation_error(capsys,
+                                                          tiny_suite_file,
+                                                          model):
+    code, out, err = run(capsys, "search", "--layer-file", tiny_suite_file,
+                         "--budget", "0", "--model", model)
+    assert (code, out) == (2, "")
+    assert "budget must be positive" in err
+
+
+@pytest.mark.parametrize("model", ["ours", "peemen", "cache"])
+def test_search_row_is_the_sweep_row(capsys, tiny_suite_file, model):
+    # Both go through one model table: at 2 B nothing fits, at 4 KiB
+    # everything does, and the rows agree byte for byte either way.
+    code, out, _ = run(capsys, "sweep", "--layer-file", tiny_suite_file,
+                       "--budgets", "2,4K", "--model", model)
+    assert code == 0
+    swept = {tuple(l.split(",")[1:4]): l for l in out.splitlines()[1:]}
+    for budget, feasible in (("2", "false"), ("4096", "true")):
+        code, out, _ = run(capsys, "search", "--layer-file", tiny_suite_file,
+                           "--budget", budget, "--model", model,
+                           "--format", "csv")
+        assert code == 0
+        header, line = out.splitlines()
+        assert header == ",".join(CSV_COLUMNS)
+        assert line == swept["tiny", model, budget]
+        assert dict(zip(CSV_COLUMNS, line.split(",")))["feasible"] == feasible
+
+
 @pytest.mark.parametrize("dims", [{"stride": True, "c_out": True},
                                   {"stride": "2"}],
                          ids=("bool-dims", "string-stride"))

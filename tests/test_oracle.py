@@ -103,6 +103,26 @@ def test_validate_strided_non_dividing_overestimates_slightly():
     assert 0 <= rep.rel_err_total <= 0.005
 
 
+def test_validation_report_carries_per_array_bytes():
+    # Distinct precisions per array, so a byte count priced at the wrong
+    # precision shows.
+    layer = LayerShape(name="s2", out_h=9, out_w=7, k_h=3, k_w=2, stride=2,
+                       c_in=4, c_out=5, p_in=1, p_w=2, p_out=3, p_acc=4)
+    sched = instantiate(CANONICAL_ORDER, Tiles(2, 3, 4, 7), layer)
+    rep = validate(sched, BufferingAssignment(5, 3, 2))
+    tr, model = rep.oracle, rep.model
+    assert rep.oracle_bytes == {
+        "I": tr.loads_i, "W": 2 * tr.loads_w,
+        "O": 4 * (tr.writes_o_partial + tr.reads_o_partial)
+             + 3 * tr.writes_o_final}
+    assert rep.model_bytes == {"I": model.t_in, "W": model.t_w,
+                               "O": model.t_o_acc + model.t_o_final}
+    assert sum(rep.oracle_bytes.values()) == tr.bytes_total
+    for a, err in zip("IWO", (rep.rel_err_i, rep.rel_err_w, rep.rel_err_o)):
+        ob = rep.oracle_bytes[a]
+        assert err == (rep.model_bytes[a] - ob) / ob
+
+
 # ---------------------------------------------------------------------------
 # The chunked walk against plain nested loops.
 

@@ -30,6 +30,7 @@ from convsched import (
     best_schedule,
     cache_best,
     cache_results,
+    distribution,
     distribution_from,
     enumerate_permutations,
     evaluate_layer,
@@ -41,7 +42,7 @@ from convsched import (
     schedule_to_json,
     traffic,
 )
-from convsched import baselines, search
+from convsched import baselines, casestudy, search
 from convsched.cli import main
 from convsched.search import worker_count
 from convsched.space import enumerate_tiles
@@ -198,6 +199,58 @@ def test_ideal_report_decomposition():
     assert (rep.t_in, rep.t_w, rep.t_o_acc, rep.t_o_final) == (128, 72, 0, 144)
     assert rep.buffer_bytes == 0
     assert rep.feasible
+
+
+def _gapped_layers(seed, count=12):
+    """Random desk layers whose stride exceeds the kernel in at least one
+    dim, rectangular kernels among them."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k_h, k_w = (int(v) for v in rng.integers(1, 4, 2))
+        stride = min(k_h, k_w) + int(rng.integers(1, 4))
+        out_h, out_w = (int(v) for v in rng.integers(2, 7, 2))
+        c_in, c_out = (int(v) for v in rng.integers(1, 4, 2))
+        yield LayerShape(name=f"gap{seed}-{i}", out_h=out_h, out_w=out_w,
+                         k_h=k_h, k_w=k_w, stride=stride, c_in=c_in,
+                         c_out=c_out, p_in=int(rng.integers(1, 3)))
+
+
+def test_ideal_is_a_floor_when_the_stride_exceeds_the_kernel():
+    # The ideal reads each input position some window covers once; a
+    # span-wide ideal sat above almost every winner on these layers.
+    budgets = tuple(16 << i for i in range(12))    # 16 B .. 32 KiB
+    for layer in _gapped_layers(seed=7):
+        assert layer.stride > min(layer.k_h, layer.k_w)
+        read = [{o * layer.stride + d for o in range(out) for d in range(k)}
+                for out, k in ((layer.out_h, layer.k_h),
+                               (layer.out_w, layer.k_w))]
+        ideal = ideal_report(layer)
+        assert ideal.t_in == layer.p_in * layer.c_in * len(read[0]) \
+            * len(read[1])
+        for res in evaluate_layer(layer, budgets).results:
+            assert res.report.total >= ideal.total, (layer, res.budget)
+        res = best_schedule(layer, min_budget_for_ideal(layer))
+        assert res.feasible and res.report.total == ideal.total, layer
+
+
+def test_every_model_refuses_a_non_positive_budget(monkeypatch):
+    # One check, on the staircase, before any tables are built.
+    def no_tables(*args):
+        raise AssertionError("tables built for a non-positive budget")
+
+    monkeypatch.setattr(search, "_prefix_tables", no_tables)
+    monkeypatch.setattr(baselines, "_tile_vectors", no_tables)
+    tiny = make_tiny()
+    for budgets in ((0,), (-5,), (0, -5), (1024, 0)):
+        for call in (evaluate_layer, baselines.peemen_results,
+                     cache_results, casestudy.hwc_results,
+                     lambda l, b: evaluate_layers([l], b),
+                     lambda l, b: distribution([l], b)):
+            with pytest.raises(ValidationError, match="must be positive"):
+                call(tiny, budgets)
+    for budget in (0, -5):
+        with pytest.raises(ValidationError, match="must be positive"):
+            best_schedule(tiny, budget)
 
 
 def test_search_config_validation():
