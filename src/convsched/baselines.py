@@ -13,7 +13,9 @@ The cache baseline localizes the k innermost loops of an arbitrary ordering:
 everything the localized space touches must fit at once, and each outer trip
 moves the whole working set again.  Output partial sums round-trip at
 accumulator precision whenever accumulation is interrupted outside the
-localized space.
+localized space.  All of that depends only on the set of localized loops,
+so the model prices each prefix set the orderings cut at once (39 for the
+pruned 180 orderings, against 1,800 cuts), not each ordering's cuts.
 
 Both price their own candidates but rank them on the search's staircase
 and materialize the winners through its _answers: one pass answers every
@@ -22,6 +24,7 @@ budget, with the search's tie-break and exact cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +36,7 @@ from .model import (
     schedule_to_json, traffic, window_extent,
 )
 from .search import (
-    CrossCheckError, SearchResult, _answers, _carrier_masks,
+    _AXIS_ROW, _HUGE, _POS_TIF, CrossCheckError, SearchResult, _answers,
     _check_int64_range, _layer_extents, _layer_space, _least_buffer,
     _nest_of, _prefix_tables, _Staircase, _tile_vectors,
     precompute_requirements,
@@ -218,21 +221,55 @@ def peemen_best(layer: LayerShape, budget: int,
 # ---------------------------------------------------------------------------
 # Cache model.
 
+# Rows of the layer's stacked extents (search._AXIS_ROW) whose loops
+# revisit the same outputs: the kernel and input-channel body loops and
+# the input-channel controlling loop.
+_O_REUSE_ROWS = (_AXIS_ROW[Axis.FX], _AXIS_ROW[Axis.FY], _AXIS_ROW[Axis.IF],
+                 _POS_TIF)
+
+
+@functools.cache
+def _cuts() -> tuple[tuple[np.ndarray, tuple], ...]:
+    """Per cut k = 1..10, the prefix sets of the pruned orderings' k
+    innermost positions, ascending, each with the plan of its
+    least-serialized ordering.
+
+    Cache candidates at one cut and tile share their levels, so their
+    serializations differ only in the order list, whose axis names all
+    have two letters: the least name list serializes least.
+    """
+    plans = sorted(precompute_requirements(),
+                   key=lambda p: [a.name for a in p.ordering])
+    cuts = []
+    for k in range(1, 11):
+        rep = {}
+        for plan in plans:
+            rep.setdefault(plan.pre[k], plan)
+        ids = sorted(rep)
+        cuts.append((np.asarray(ids, dtype=np.int64),
+                     tuple(rep[i] for i in ids)))
+    return tuple(cuts)
+
+
 def cache_results(layer: LayerShape, budgets: tuple[int, ...],
                   policy: TilePolicy | None = None) -> list[SearchResult]:
-    """Best cache-model result per budget, one pass over the orderings.
+    """Best cache-model result per budget, one pass over the prefix sets.
 
-    A candidate localizes the k innermost of the ten uniform positions.
-    Its working set is the byte-weighted footprint below position k,
-    outputs at accumulator precision; traffic re-moves the working set once
-    per outer trip.  The output charge doubles to accumulator round trips
-    when an output-reuse carrier sits outside the localized space, and is
-    a plain write at output precision otherwise.
+    A candidate localizes the k innermost of an ordering's ten uniform
+    positions.  Its working set is the byte-weighted footprint of those
+    loops, outputs at accumulator precision; traffic re-moves the working
+    set once per outer trip.  The output charge doubles to accumulator
+    round trips when an output-reuse loop outside the localized space runs
+    more than once, and is a plain write at output precision otherwise.
 
-    Every ordering's (traffic, working set, spill) candidates go through
-    the search's staircase, so all budgets, in any order and repeats
-    included, cost about one; the tie-break is the search's.  Where no
-    working set fits, the smallest one is reported as infeasible.
+    All three numbers depend only on the set of localized loops, so each
+    prefix set is priced once (_cache_sets), standing for every ordering
+    that cuts at it through the least-serialized one, which wins their
+    ties.  Each cut's sets join the search's staircase in one call, so all
+    budgets, in any order and repeats included, cost about one.  Where no
+    working set fits, the first least (working set, traffic) candidate in
+    ordering, cut and tile order is reported as infeasible.  The candidate
+    count covers every ordering, cut and tile.
     """
     stairs = _Staircase(budgets)
     plans = precompute_requirements()
@@ -241,75 +278,85 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
     n_t = tiles[0].size
     final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
 
-    def levels_of(ids):
-        c = compact[divmod(ids, n_t)]
-        return np.stack([c, c, c])
+    def candidate(plan, r, t):
+        """(serialization, payload) of row r of the plan's _cache_tables on
+        tile t; the payload carries the plan and row for report_of."""
+        tile = tuple(int(v[t]) for v in tiles)
+        levels = (int(compact[r, t]),) * 3
+        return (format_schedule(plan.ordering, tile, levels),
+                (plan.ordering, tile, levels, None, plan, r))
 
-    fallback = None
-    candidates = 0
-    for plan in plans:
-        t_in, t_w, t_acc, b_in, b_w, b_o = _cache_tables(plan, layer, tabs)
-        candidates += t_in.size
-        ws_f = (b_in + b_w + b_o).reshape(-1)
-        tot_f = (t_in + t_w + t_acc + final).reshape(-1)
-        acc_f = t_acc.reshape(-1)
+    least = {}  # set id -> (working set, traffic, tile) of its least tile
+    for r, (ids, reps) in enumerate(_cuts()):
+        t_in, t_w, t_acc, b_in, b_w, b_o = _cache_sets(layer, tabs, ids)
+        ws, tot = b_in + b_w + b_o, t_in + t_w + t_acc + final
+        at_floor = np.where(ws == ws.min(axis=1, keepdims=True), tot, _HUGE)
+        first = at_floor.argmin(axis=1)
+        for s, (i, t) in enumerate(zip(ids.tolist(), first.tolist())):
+            least[i] = (int(ws[s, t]), int(tot[s, t]), t)
 
-        def decode(flat, plan=plan):
-            """(serialization, payload): the candidate at `flat` of the
-            plan's tables, its plan and table row for report_of."""
-            k, t = divmod(flat, n_t)
-            tile = tuple(int(v[t]) for v in tiles)
-            levels = (int(compact[k, t]),) * 3
-            return (format_schedule(plan.ordering, tile, levels),
-                    (plan.ordering, tile, levels, None, plan, k))
+        def levels_of(flat, r=r):
+            c = compact[r, flat % n_t]
+            return np.stack([c, c, c])
 
-        floor = int(ws_f.min())
-        fb_ids = np.flatnonzero(ws_f == floor)
-        fb_i = int(fb_ids[int(tot_f[fb_ids].argmin())])
-        if fallback is None or (floor, int(tot_f[fb_i])) < fallback[:2]:
-            fallback = (floor, int(tot_f[fb_i]), decode, fb_i)
-        stairs.add(tot_f, ws_f, floor, acc_f.__getitem__, levels_of, decode)
+        def decode(flat, r=r, reps=reps):
+            s, t = divmod(flat, n_t)
+            return candidate(reps[s], r, t)
+
+        stairs.add(tot.reshape(-1), ws.reshape(-1), int(ws.min()),
+                   t_acc.reshape(-1).__getitem__, levels_of, decode)
+
+    plan, r = min(((p, r) for p in plans for r in range(10)),
+                  key=lambda c: least[c[0].pre[c[1] + 1]][:2])
+    fallback = candidate(plan, r, least[plan.pre[r + 1]][2])[1]
 
     def report_of(payload, budget):
         """The candidate's report, from the tables of its tile alone."""
-        _, tile, _, _, plan, k = payload
+        _, tile, _, _, plan, r = payload
         one = tuple(np.asarray([v], dtype=np.int64) for v in tile)
         own = _prefix_tables(layer, _layer_extents(layer, one), (plan,))
         t_in, t_w, t_acc, b_in, b_w, b_o = (
-            int(part[k, 0]) for part in _cache_tables(plan, layer, own))
+            int(part[r, 0]) for part in _cache_tables(plan, layer, own))
         return TrafficReport(
             t_in=t_in, t_w=t_w, t_o_acc=t_acc, t_o_final=final,
             total=t_in + t_w + t_acc + final, b_in=b_in, b_w=b_w, b_o=b_o,
             feasible=b_in + b_w + b_o <= budget)
 
-    _, _, decode, fb_i = fallback
-    return _answers(layer, budgets, stairs, decode(fb_i)[1], candidates,
+    return _answers(layer, budgets, stairs, fallback, len(plans) * 10 * n_t,
                     report_of)
 
 
-def _cache_tables(plan, layer: LayerShape, tabs) -> tuple[np.ndarray, ...]:
-    """Traffic and buffer bytes per array of one ordering, each (10, T).
+def _cache_sets(layer: LayerShape, tabs, ids: np.ndarray
+                ) -> tuple[np.ndarray, ...]:
+    """Traffic and buffer bytes per array of localizing each prefix set in
+    `ids`, each (len(ids), T) over the layer's prefix tables `tabs`.
 
     (t_in, t_w, t_o_acc, b_in, b_w, b_o), where t_o_acc is the output
-    traffic less the final write.  Row k - 1 localizes the k innermost of
-    the ten uniform positions: its working set is each array's footprint
-    inside cut k of the layer's prefix tables `tabs`, and each iteration
-    of the loops outside that cut moves it once.  Outputs round-trip at
-    accumulator precision where a position at or above k carries their
-    reuse.
+    traffic less the final write.  The working set is each array's
+    footprint inside the set, and each iteration of the loops outside it
+    moves the set once.  Outputs round-trip at accumulator precision where
+    an output-reuse loop outside the set runs more than once.
     """
-    cut = np.searchsorted(tabs.ids, plan.pre[1:])
-    outside = tabs.outside[cut]
+    ids = np.asarray(ids, dtype=np.int64)
+    rows = np.searchsorted(tabs.ids, ids)
+    outside = tabs.outside[rows]
     final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
-    visits = tabs.ft["O"][cut] * outside
+    visits = tabs.ft["O"][rows] * outside
     interrupted = np.zeros(visits.shape, dtype=bool)
-    for p, mask in _carrier_masks(plan, layer, tabs, "O"):
-        interrupted[:p] |= mask
+    for row in _O_REUSE_ROWS:
+        interrupted |= ((ids >> row) & 1 == 0)[:, None] & tabs.carries[row]
     t_acc = np.where(interrupted, 2 * layer.p_acc * visits,
                      layer.p_out * visits) - final
-    b_in, b_w = layer.p_in * tabs.ft["I"][cut], layer.p_w * tabs.ft["W"][cut]
+    b_in, b_w = (layer.p_in * tabs.ft["I"][rows],
+                 layer.p_w * tabs.ft["W"][rows])
     return (b_in * outside, b_w * outside, t_acc,
-            b_in, b_w, layer.p_acc * tabs.ft["O"][cut])
+            b_in, b_w, layer.p_acc * tabs.ft["O"][rows])
+
+
+def _cache_tables(plan, layer: LayerShape, tabs) -> tuple[np.ndarray, ...]:
+    """_cache_sets of one ordering's cuts, each (10, T): row k - 1
+    localizes the k innermost of its ten uniform positions."""
+    return _cache_sets(layer, tabs, plan.pre[1:])
 
 
 def cache_best(layer: LayerShape, budget: int,

@@ -18,7 +18,10 @@ from pathlib import Path
 from .layers import LayerShape, LayerSuite, ValidationError, parse_layer_suite
 from .model import ARRAYS, schedule_from_json, schedule_to_json, traffic
 from .oracle import DEFAULT_CAP, OracleCapError, validate
-from .search import MODEL_ORDER, SearchConfig, _sweep_task, distribution, sweep
+from .search import (
+    DEFAULT_BUDGETS, MODEL_ORDER, SearchConfig, _check_budgets, _sweep_task,
+    distribution, sweep,
+)
 from .space import TILE_POLICY_MODES, TilePolicy
 from .suites import BUILTIN_SUITE_NAMES, builtin_suite, find_builtin_layer
 
@@ -74,8 +77,7 @@ def _parse_budgets(spec: str) -> tuple[int, ...]:
         budgets = parse_budget_list(spec)
     except ValueError as e:
         raise ValidationError(str(e)) from e
-    if any(b <= 0 for b in budgets):
-        raise ValidationError("budgets must be positive")
+    _check_budgets(budgets)
     return budgets
 
 
@@ -109,8 +111,8 @@ def _read_suite_file(path: str) -> LayerSuite:
 def _read_schedule(args) -> tuple:
     """(suite name, layer, schedule, assignment) for analyze and validate."""
     suite_name, layer = _resolve_layer(args)
-    if args.budget is not None and args.budget <= 0:
-        raise ValidationError("budget must be positive")
+    if args.budget is not None:
+        _check_budgets((args.budget,))
     text = _read_text(args.schedule, "schedule")
     return (suite_name, layer, *schedule_from_json(text, layer))
 
@@ -286,7 +288,7 @@ def _add_layer_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_budgets_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budgets", default="1K..256K:x2",
+    p.add_argument("--budgets", default=",".join(map(str, DEFAULT_BUDGETS)),
                    help='comma list, or range "1K..512K:x2" that always ends '
                         'at its upper bound (default %(default)s)')
 

@@ -43,7 +43,9 @@ through the scalar model as a cross-check before being reported.
 One core (_evaluate) serves two callers: evaluate_layer over every
 ordering and the HWC tile search (casestudy) on one plan with pinned
 levels.  The cache and Peemen models (baselines) price their own
-candidates but share the staircase and the materialization (_answers).
+candidates but share the staircase and the materialization (_answers);
+the cache model prices the same prefix tables once per set, not once per
+ordering, since its candidates are cuts.
 """
 
 from __future__ import annotations
@@ -86,17 +88,29 @@ _FOOT_ROWS = {"I": (1, 6, 7, 8), "W": (0, 1, 4, 5, 8, 9),
               "O": (0, 2, 3, 6, 7, 9)}
 
 
+# The budgets of the paper's comparison: 1 KiB to 256 KiB in doublings.
+DEFAULT_BUDGETS = tuple(1024 << k for k in range(9))
+
+
+def _check_budgets(budgets) -> np.ndarray:
+    """The budgets as int64: every model's and command's one budget rule."""
+    for b in budgets:
+        if not 0 < b <= np.iinfo(np.int64).max:
+            raise ValidationError(
+                f"budget must be positive and fit in 64 bits, got {b}")
+    return np.asarray(budgets, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
-    budgets: tuple[int, ...] = tuple(1024 * 2 ** k for k in range(10))
+    budgets: tuple[int, ...] = DEFAULT_BUDGETS
     tile_policy: TilePolicy = field(default_factory=TilePolicy)
     prune: bool = True
 
     def __post_init__(self) -> None:
         if not self.budgets or list(self.budgets) != sorted(set(self.budgets)):
             raise ValidationError("budgets must be ascending, unique, and non-empty")
-        if self.budgets[0] <= 0:
-            raise ValidationError("budgets must be positive")
+        _check_budgets(self.budgets)
 
 
 @dataclass(frozen=True)
@@ -317,14 +331,13 @@ class _Staircase:
     budget is the first candidate where the running minimum reaches its
     value (the smallest buffer at that traffic); equal buffers sit
     together, so the spill tie-break looks at one contiguous block.
-    Budgets may come in any order and may repeat, but must be positive:
-    every model's budgets pass through here, before any tables are built.
+    Budgets may come in any order and may repeat, but must pass
+    _check_budgets: every model's budgets pass through here, before any
+    tables are built.
     """
 
     def __init__(self, budgets: tuple[int, ...]):
-        self.budgets = np.asarray(budgets, dtype=np.int64)
-        if (self.budgets <= 0).any():
-            raise ValidationError("budget must be positive")
+        self.budgets = _check_budgets(budgets)
         self.key = np.full((3, self.budgets.size), _HUGE, dtype=np.int64)
         self.win = np.full(self.budgets.size, -1, dtype=np.int64)
         self.steps: list[_Step] = []  # every step that has led somewhere

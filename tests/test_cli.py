@@ -166,6 +166,44 @@ def test_search_non_positive_budget_is_a_validation_error(capsys,
     assert "budget must be positive" in err
 
 
+_PAST_INT64 = "99999999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--layer", "ZFNet-6", "--budget", _PAST_INT64),
+    ("search", "--layer", "ZFNet-6", "--budget", _PAST_INT64,
+     "--model", "cache"),
+    ("sweep", "--suite", "alexnet", "--budgets", _PAST_INT64),
+    ("distribution", "--suite", "alexnet", "--budgets", f"1K,{_PAST_INT64}"),
+])
+def test_budget_past_int64_is_a_validation_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: budget must be positive")
+    assert "Traceback" not in err
+
+
+def test_every_command_states_the_budget_rule_alike(
+        capsys, tiny_suite_file, full_reuse_schedule_file):
+    layer = ("--layer-file", tiny_suite_file)
+    schedule = ("--schedule", full_reuse_schedule_file)
+    errors = set()
+    for argv in (("search", *layer, "--budget", "0"),
+                 ("analyze", *layer, *schedule, "--budget", "0"),
+                 ("validate", *layer, *schedule, "--budget", "0"),
+                 ("sweep", *layer, "--budgets", "0"),
+                 ("distribution", *layer, "--budgets", "64,0")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        errors.add(err)
+    assert errors == {"error: budget must be positive and fit in 64 bits, "
+                      "got 0\n"}
+    # The largest int64 is a budget.
+    code, out, _ = run(capsys, "search", *layer, "--budget",
+                       str(2 ** 63 - 1), "--model", "cache")
+    assert code == 0 and "(9223372036854775807 B: feasible)" in out
+
+
 @pytest.mark.parametrize("model", ["ours", "peemen", "cache"])
 def test_search_row_is_the_sweep_row(capsys, tiny_suite_file, model):
     # Both go through one model table: at 2 B nothing fits, at 4 KiB

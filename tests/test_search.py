@@ -567,6 +567,22 @@ def test_pruned_search_matches_brute_force_over_the_full_space():
             assert min_budget_for_ideal(layer, policy) == at_ideal
 
 
+def test_cache_model_matches_the_per_ordering_brute_force():
+    # Every ordering's cuts, reduced one ordering at a time, against the
+    # cache model's one pass over prefix sets.  A 1x1 kernel leaves FX and
+    # FY unit loops, so sets that differ only in them tie on all three
+    # numbers and the sets' representative orderings break the tie; under
+    # pow2 no tile spans its axis, so every controlling loop runs.  Budgets
+    # of 1-3 B are below the least working set: the fallback answers.
+    layer = LayerShape(name="desk-1x1", out_h=3, out_w=5, k_h=1, k_w=1,
+                       stride=1, c_in=3, c_out=3, p_in=2, p_w=1, p_out=1,
+                       p_acc=2)
+    policy = TilePolicy(mode="pow2")
+    budgets = sorted({b for bs in _budget_sets(layer).values() for b in bs})
+    best, _, fallback = _brute_force_cache(layer, budgets, policy)
+    _check(cache_results(layer, budgets, policy), best, fallback)
+
+
 # ---------------------------------------------------------------------------
 # The per-layer prefix tables against a per-ordering reference, entry by
 # entry.  The reference is the builder the prefix tables replaced: one
