@@ -1,10 +1,23 @@
 """Command-line front-end: analyze, search, sweep, validate, distribution.
 
 Single results print as structured text by default, matrices as CSV; both
-honor --format and --out.  Budgets accept plain bytes, K/M suffixes, comma
-lists, and the geometric range form "1K..512K:x2", which always ends at its
-upper bound even when that is off the xF grid.  Exit codes: 0 success,
-1 usage, 2 validation failure, 3 oracle-cap refusal.
+honor --format and --out.  A budget is plain bytes or a K/M suffix; --budgets
+also takes comma lists and the geometric range form "1K..512K:x2", which
+always ends at its upper bound even when that is off the xF grid.  Run it as
+`convsched` or `python -m convsched`.
+
+Exit codes:
+  0  success.
+  1  usage: argparse refused the command line (an unknown command, option
+     or --model choice, a missing required option, a non-integer
+     --oracle-cap).
+  2  bad input: a --budget or --budgets size that does not parse ("-1",
+     "abc"), is not positive or does not fit 64 bits; an --oracle-cap
+     below 1; a layer or schedule file that cannot be read or does not
+     hold a valid document; an unknown layer, suite or sweep model; an
+     --out file that cannot be written.  Also `validate` when the model
+     counts fewer bytes than the oracle for some array.
+  3  `validate` refused a nest of more iterations than --oracle-cap.
 """
 
 from __future__ import annotations
@@ -71,14 +84,21 @@ def parse_budget_list(spec: str) -> tuple[int, ...]:
     return tuple(parse_byte_size(t) for t in s.split(","))
 
 
-def _parse_budgets(spec: str) -> tuple[int, ...]:
+def _parse_budgets(spec: str, parse=parse_budget_list) -> tuple[int, ...]:
     """The --budgets list, with malformed or non-positive sizes rejected."""
     try:
-        budgets = parse_budget_list(spec)
+        budgets = parse(spec)
     except ValueError as e:
         raise ValidationError(str(e)) from e
     _check_budgets(budgets)
     return budgets
+
+
+def _parse_budget(spec: str | None) -> int | None:
+    """The one size of --budget, ruled as --budgets rules each of its own."""
+    if spec is None:
+        return None
+    return _parse_budgets(spec, lambda s: (parse_byte_size(s),))[0]
 
 
 def _resolve_layer(args) -> tuple[str, LayerShape]:
@@ -109,12 +129,12 @@ def _read_suite_file(path: str) -> LayerSuite:
 
 
 def _read_schedule(args) -> tuple:
-    """(suite name, layer, schedule, assignment) for analyze and validate."""
+    """(suite name, layer, schedule, assignment, budget or None) for
+    analyze and validate."""
     suite_name, layer = _resolve_layer(args)
-    if args.budget is not None:
-        _check_budgets((args.budget,))
+    budget = _parse_budget(args.budget)
     text = _read_text(args.schedule, "schedule")
-    return (suite_name, layer, *schedule_from_json(text, layer))
+    return (suite_name, layer, *schedule_from_json(text, layer), budget)
 
 
 def _policy(args) -> TilePolicy:
@@ -161,32 +181,33 @@ def _print_report(out, report, budget) -> None:
 
 
 def cmd_analyze(args, out) -> int:
-    suite_name, layer, schedule, assignment = _read_schedule(args)
-    report = traffic(schedule, assignment, args.budget)
+    suite_name, layer, schedule, assignment, budget = _read_schedule(args)
+    report = traffic(schedule, assignment, budget)
     serial = schedule_to_json(schedule, assignment)
     if args.format == "csv":
         _emit_csv(out, [_report_row(suite_name, layer.name, "manual",
-                                    args.budget, report, serial)])
+                                    budget, report, serial)])
     else:
         print(f"layer {layer.name} (suite {suite_name})", file=out)
         print(f"schedule {serial}", file=out)
-        _print_report(out, report, args.budget)
+        _print_report(out, report, budget)
     return 0
 
 
 def cmd_search(args, out) -> int:
     suite_name, layer = _resolve_layer(args)
+    budget = _parse_budget(args.budget)
     # The sweep's own step, so a search row is the sweep's row.
     [(report, serial, candidates)] = _sweep_task(
-        (layer, args.model, (args.budget,), _policy(args), not args.no_prune))
+        (layer, args.model, (budget,), _policy(args), not args.no_prune))
     if args.format == "csv":
         _emit_csv(out, [_report_row(suite_name, layer.name, args.model,
-                                    args.budget, report, serial)])
+                                    budget, report, serial)])
     else:
         print(f"layer {layer.name} (suite {suite_name})  model {args.model}  "
-              f"budget {args.budget} B  candidates {candidates}", file=out)
+              f"budget {budget} B  candidates {candidates}", file=out)
         print(f"schedule {serial}", file=out)
-        _print_report(out, report, args.budget)
+        _print_report(out, report, budget)
     return 0
 
 
@@ -223,9 +244,9 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_validate(args, out) -> int:
-    suite_name, layer, schedule, assignment = _read_schedule(args)
+    suite_name, layer, schedule, assignment, budget = _read_schedule(args)
     rep = validate(schedule, assignment, cap=args.oracle_cap)
-    model = traffic(schedule, assignment, args.budget)
+    model = traffic(schedule, assignment, budget)
     tr = rep.oracle
     rows = [(a, rep.model_bytes[a], rep.oracle_bytes[a], err) for a, err in
             zip(ARRAYS, (rep.rel_err_i, rep.rel_err_w, rep.rel_err_o))]
@@ -247,7 +268,7 @@ def cmd_validate(args, out) -> int:
                   f"rel_err {err:+.6f}", file=out)
         print(f"total  model {model.total:>14}  oracle {tr.bytes_total:>14}  "
               f"rel_err {rep.rel_err_total:+.6f}", file=out)
-        _print_buffers(out, model, args.budget)
+        _print_buffers(out, model, budget)
         under = ", ".join(rep.undercounts) if rep.undercounts else "none"
         print(f"undercounts: {under}", file=out)
     return 2 if rep.undercounts else 0
@@ -317,14 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_layer_flags(p)
     p.add_argument("--schedule", required=True, metavar="FILE",
                    help="JSON schedule document")
-    p.add_argument("--budget", type=parse_byte_size, default=None,
+    p.add_argument("--budget", default=None,
                    help="local buffer capacity, e.g. 1K")
     _add_out_flags(p, "text")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("search", help="best schedule for one layer and budget")
     _add_layer_flags(p)
-    p.add_argument("--budget", type=parse_byte_size, required=True)
+    p.add_argument("--budget", required=True,
+                   help="local buffer capacity, e.g. 1K")
     p.add_argument("--model", choices=("ours", "peemen", "cache"),
                    default="ours")
     _add_space_flags(p)
@@ -346,10 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check the model against the trace oracle")
     _add_layer_flags(p)
     p.add_argument("--schedule", required=True, metavar="FILE")
-    p.add_argument("--budget", type=parse_byte_size, default=None)
+    p.add_argument("--budget", default=None,
+                   help="local buffer capacity, e.g. 1K")
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP,
                    help="refuse (exit 3) nests of more loop iterations than "
-                        "this (default %(default)s); the oracle walks the "
+                        "this, at least 1 (default %(default)s); the oracle walks the "
                         "built-in layers' winners at 0.5-2 G a second")
     _add_out_flags(p, "text")
     p.set_defaults(func=cmd_validate)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import CrossCheckError
+from .layers import CrossCheckError, ValidationError
 from .model import ARRAYS, Axis, BufferingAssignment, Schedule, TrafficReport, traffic
 
 _CHUNK = 1 << 18
@@ -159,9 +159,13 @@ def simulate(schedule: Schedule, assignment: BufferingAssignment,
     """Off-buffer transfers of one nest, counted by walking its iterations.
 
     Raises OracleCapError when the nest runs more than `cap` iterations or
-    its keys would overflow 64 bits, and CrossCheckError when the walk does
-    not write every output element.
+    its keys would overflow 64 bits, ValidationError when `cap` is below
+    one (every nest runs at least one iteration, so no cap below that can
+    admit any), and CrossCheckError when the walk does not write every
+    output element.
     """
+    if cap < 1:
+        raise ValidationError(f"oracle cap must be at least 1, got {cap}")
     assignment.check(schedule)
     layer = schedule.layer
     n = len(schedule.loops)

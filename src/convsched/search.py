@@ -40,12 +40,19 @@ sets (all 720 at 68), so a layer's tables are built once per set
 All traffic numbers here are exact int64; winners are re-materialized
 through the scalar model as a cross-check before being reported.
 
-One core (_evaluate) serves two callers: evaluate_layer over every
-ordering and the HWC tile search (casestudy) on one plan with pinned
-levels.  The cache and Peemen models (baselines) price their own
-candidates but share the staircase and the materialization (_answers);
-the cache model prices the same prefix tables once per set, not once per
-ordering, since its candidates are cuts.
+One core (_evaluate) serves three callers: evaluate_layer over every
+ordering, best_schedule and the sweep's "ours" (_best_results) over every
+ordering with a shared bound, and the HWC tile search (casestudy) on one
+plan with pinned levels.  The shared bound is the staircase's best
+traffic so far, an upper bound for every later ordering at the same
+budget: a tile whose lower bound exceeds it cannot win, one that ties it
+is kept, so the winners stay exact.  An ordering's own best does not, so
+evaluate_layer, whose ordering_best feeds the distribution, keeps each
+ordering to its own bound.  The cache and Peemen models (baselines)
+price their own candidates but share the staircase and the
+materialization (_answers); the cache model prices the same prefix
+tables once per set, not once per ordering, since its candidates are
+cuts.
 """
 
 from __future__ import annotations
@@ -341,24 +348,39 @@ class _Staircase:
         self.key = np.full((3, self.budgets.size), _HUGE, dtype=np.int64)
         self.win = np.full(self.budgets.size, -1, dtype=np.int64)
         self.steps: list[_Step] = []  # every step that has led somewhere
+        self._ascending = np.argsort(self.budgets, kind="stable")
 
     @property
     def winners(self) -> list[_Step | None]:
         return [self.steps[w] if w >= 0 else None for w in self.win.tolist()]
 
+    def best_at(self, caps: np.ndarray) -> np.ndarray:
+        """Per cap, the least traffic found so far at a budget at or under
+        it, _HUGE where there is none: a candidate that fits such a budget
+        fits the cap, so no cap's best traffic is above it."""
+        order = self._ascending
+        run = np.minimum.accumulate(self.key[0, order])
+        at = np.searchsorted(self.budgets[order], caps, side="right") - 1
+        return np.where(at >= 0, run[at], _HUGE)
+
     def add(self, total: np.ndarray, buffer: np.ndarray, floor: int,
             acc_of: Callable[[np.ndarray], np.ndarray],
             levels_of: Callable[[np.ndarray], np.ndarray],
             decode: Callable[[int], tuple[str, object]]) -> np.ndarray:
-        """Merge one ordering's flat candidates; its best traffic per budget.
+        """Merge one ordering's flat candidates; their best traffic per budget.
 
-        `floor` is the ordering's smallest buffer.  The candidates need
-        not be all of the ordering's, only every one that fits some budget
-        at the ordering's best traffic there.  `acc_of` maps flat indices
-        to spill bytes, `levels_of` to their compacted (I, O, W) buffering
-        levels, `decode` one flat index to its canonical serialization and
-        whatever the caller needs to materialize it.  Returns -1 where
-        none of its candidates fits.
+        `floor` is the candidates' smallest buffer.  They need not be all
+        of the ordering's, only every one that fits some budget at the
+        least traffic there: at the ordering's own best, or at the best
+        over all orderings for best_schedule and the sweep's "ours", which
+        bound each ordering by the best found so far (see _survivors).
+        Their winners are exact, since every candidate that can win or tie
+        is still given; the returned best is then that of the candidates
+        given, which is the ordering's only where it can win.  `acc_of`
+        maps flat indices to spill bytes, `levels_of` to their compacted
+        (I, O, W) buffering levels, `decode` one flat index to its
+        canonical serialization and whatever the caller needs to
+        materialize it.  Returns -1 where none of them fits.
         """
         budgets = self.budgets
         reach = budgets[budgets >= floor]
@@ -378,8 +400,15 @@ class _Staircase:
         ok = fits > 0
         best = np.full(budgets.size, -1, dtype=np.int64)
         best[ok] = run[fits[ok] - 1]
-        first = np.searchsorted(-run, -best[ok], side="left")
-        heads, step_of = np.unique(first, return_inverse=True)
+        first = np.zeros(budgets.size, dtype=np.int64)
+        first[ok] = np.searchsorted(-run, -best[ok], side="left")
+        # A stair can lead or tie only where it is no worse than the winner
+        # on (traffic, buffer); only those stairs are built.
+        (bt, bb), stair = self.key[:2], sb[first]
+        live = ok & ((best < bt) | ((best == bt) & (stair <= bb)))
+        if not live.any():
+            return best
+        heads, step_of = np.unique(first[live], return_inverse=True)
 
         steps = []
         for j in heads.tolist():
@@ -394,13 +423,13 @@ class _Staircase:
         # numbers; where those tie, serializations decide, once per pair of
         # steps rather than once per budget.
         pick = np.full(budgets.size, -1, dtype=np.int64)
-        pick[ok] = step_of
+        pick[live] = step_of
         key = np.full_like(self.key, _HUGE)
-        key[:, ok] = np.array([(s.total, s.buffer, s.acc) for s in steps],
-                              dtype=np.int64).T[:, step_of]
+        key[:, live] = np.array([(s.total, s.buffer, s.acc) for s in steps],
+                                dtype=np.int64).T[:, step_of]
         (t, b, a), (bt, bb, ba) = key, self.key
         better = (t < bt) | ((t == bt) & ((b < bb) | ((b == bb) & (a < ba))))
-        tied = ok & (t == bt) & (b == bb) & (a == ba)
+        tied = live & (t == bt) & (b == bb) & (a == ba)
         if tied.any():
             pairs, inv = np.unique(pick[tied] * len(self.steps) + self.win[tied],
                                    return_inverse=True)
@@ -481,6 +510,11 @@ def _columns(arrays: _Arrays, cols: np.ndarray) -> _Arrays:
     return [(v.take(cols, axis=1), w.take(cols, axis=1)) for v, w in arrays]
 
 
+def _floor(arrays: _Arrays) -> int:
+    """The least summed weight of a level triple on any tile."""
+    return int(sum(w.min(axis=0) for _, w in arrays).min())
+
+
 def _cross(arrays: _Arrays) -> tuple[np.ndarray, np.ndarray]:
     """Summed values and weights of every (I, W, O) level triple on every
     tile, each shaped (nI, nW, nO, T)."""
@@ -510,7 +544,8 @@ def _lower_bound(arrays: _Arrays, caps: np.ndarray) -> np.ndarray:
     return bound
 
 
-def _survivors(arrays: _Arrays, reach: np.ndarray) -> np.ndarray:
+def _survivors(arrays: _Arrays, reach: np.ndarray,
+               stairs: _Staircase | None = None) -> np.ndarray:
     """Tile columns that can hold the ordering's best traffic at a budget.
 
     `reach` holds the budgets, ascending and distinct, none below the
@@ -523,6 +558,16 @@ def _survivors(arrays: _Arrays, reach: np.ndarray) -> np.ndarray:
     grid a budget between two points has a best no worse than the left
     point's and a bound no lower than the right point's, so those two are
     compared.
+
+    Given the `stairs` of the orderings before this one, the upper bound
+    at a point is at most their best traffic at the budgets at or under
+    it (_Staircase.best_at): the candidate that reaches it fits every
+    budget from the point up, so on the grid it bounds the best up to the
+    next point too.  Where that is finite at every point the probe is
+    skipped.  A tile then survives only if it can tie (<=) or beat the
+    best over all orderings, so the winners stay exact but the ordering's
+    own best does not; only callers that drop ordering_best pass
+    `stairs`, and no tile may survive.
     """
     lo, hi = int(reach[0]), int(reach[-1])
     grid = [lo]
@@ -532,13 +577,16 @@ def _survivors(arrays: _Arrays, reach: np.ndarray) -> np.ndarray:
     points = reach if exact else np.asarray(grid, dtype=np.int64)
 
     bound = _lower_bound(arrays, points)
-    if bound.shape[1] > _PROBE:
-        probe = np.unique(np.argpartition(bound, _PROBE, axis=1)[:, :_PROBE])
-    else:
-        probe = np.arange(bound.shape[1])
-    value, weight = _cross(_columns(arrays, probe))
-    fits = weight.reshape(1, -1) <= points[:, None]
-    upper = np.where(fits, value.reshape(1, -1), _HUGE).min(axis=1)
+    upper = None if stairs is None else stairs.best_at(points)
+    if upper is None or (upper >= _HUGE).any():
+        if bound.shape[1] > _PROBE:
+            probe = np.unique(np.argpartition(bound, _PROBE, axis=1)[:, :_PROBE])
+        else:
+            probe = np.arange(bound.shape[1])
+        value, weight = _cross(_columns(arrays, probe))
+        fits = weight.reshape(1, -1) <= points[:, None]
+        probed = np.where(fits, value.reshape(1, -1), _HUGE).min(axis=1)
+        upper = probed if upper is None else np.minimum(upper, probed)
     if exact:
         keep = (bound <= upper[:, None]).any(axis=0)
     else:
@@ -669,17 +717,21 @@ def _answers(layer: LayerShape, budgets: tuple[int, ...], stairs: _Staircase,
 
 def _evaluate(layer: LayerShape, budgets: tuple[int, ...],
               menus: dict[Axis, tuple[int, ...]],
-              plans: tuple[OrderingPlan, ...], fallback_of: Callable
+              plans: tuple[OrderingPlan, ...], fallback_of: Callable,
+              shared: bool = False
               ) -> tuple[list[SearchResult], np.ndarray, int]:
     """(results, ordering_best, candidates) of the plans on the tile menus.
 
     Per ordering, only the tiles that survive the bound step (see
     _survivors) are expanded into candidates, and those go through one
-    staircase (see _Staircase).  For budgets where nothing fits,
-    `fallback_of(arrays, serial)` names an ordering's candidate as
-    _first_least does, one of its least buffer (serial(level indices,
-    tile) serializes one); the least (buffer, traffic) of those, the
-    first on ties, is reported.  The fallback is lazy: it is taken only
+    staircase (see _Staircase).  With `shared`, each ordering's bound
+    step is also bounded by the staircase's best so far: the results are
+    the same, ordering_best is not (an ordering is -1 or too high where
+    it cannot win), so only callers that drop it may ask.  For budgets
+    where nothing fits, `fallback_of(arrays, serial)` names an ordering's
+    candidate as _first_least does, one of its least buffer
+    (serial(level indices, tile) serializes one); the least (buffer,
+    traffic) of those, the first on ties, is reported.  The fallback is lazy: it is taken only
     when some budget needs it, and only from the orderings whose least
     buffer is the least of all, the only ones that can hold it; their
     tables are built again for it.
@@ -705,13 +757,15 @@ def _evaluate(layer: LayerShape, budgets: tuple[int, ...],
         arrays = _byte_tables(plan, layer, tabs)
         candidates += math.prod(w.shape[0] for _, w in arrays) * n_t
 
-        floor = int(sum(w.min(axis=0) for _, w in arrays).min())
+        floor = _floor(arrays)
         floors.append(floor)
         reach = np.unique(stairs.budgets[stairs.budgets >= floor])
         if reach.size == 0:
             continue
 
-        cols = _survivors(arrays, reach)
+        cols = _survivors(arrays, reach, stairs if shared else None)
+        if cols.size == 0:
+            continue
         kept = _columns(arrays, cols)
         st, sb = _cross(kept)
         toacc, shape = kept[2][0], st.shape
@@ -731,6 +785,8 @@ def _evaluate(layer: LayerShape, budgets: tuple[int, ...],
             *idx, c = np.unravel_index(flat, shape)
             return candidate(plan, idx, cols[c])
 
+        if shared:  # the bound may have dropped the least-buffer tiles
+            floor = _floor(kept)
         ordering_best[oi] = stairs.add(st.reshape(-1), sb.reshape(-1), floor,
                                        acc_of, levels_of, decode)
 
@@ -773,12 +829,23 @@ def evaluate_layer(layer: LayerShape,
     )
 
 
+def _best_results(layer: LayerShape, budgets: tuple[int, ...],
+                  policy: TilePolicy | None = None, prune: bool = True
+                  ) -> list[SearchResult]:
+    """evaluate_layer's results alone, found with every ordering bounded
+    by the best traffic so far (see _survivors)."""
+    return _evaluate(layer, budgets,
+                     enumerate_tiles(layer, policy or TilePolicy()),
+                     precompute_requirements(prune), _first_least,
+                     shared=True)[0]
+
+
 def best_schedule(layer: LayerShape, budget: int,
                   config: SearchConfig | None = None) -> SearchResult:
     """Minimal-traffic feasible schedule for one layer and budget."""
     config = config or SearchConfig()
-    return evaluate_layer(layer, (budget,), config.tile_policy,
-                          config.prune).results[0]
+    return _best_results(layer, (budget,), config.tile_policy,
+                         config.prune)[0]
 
 
 def min_budget_for_ideal(layer: LayerShape,
@@ -896,7 +963,7 @@ def _unpack(results) -> list[tuple]:
 
 
 def _ours(layer, budgets, policy, prune):
-    return _unpack(evaluate_layer(layer, budgets, policy, prune).results)
+    return _unpack(_best_results(layer, budgets, policy, prune))
 
 
 def _peemen(layer, budgets, policy, prune):

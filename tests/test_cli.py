@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import runpy
+import sys
 
 import pytest
 
@@ -134,6 +136,30 @@ def test_analyze_non_integer_tile_or_level_is_a_validation_error(
 def test_search_unknown_model_is_a_usage_error(capsys, tiny_suite_file):
     code, _, _ = run(capsys, "search", "--layer-file", tiny_suite_file,
                      "--budget", "1K", "--model", "tetris")
+    assert code == 1
+
+
+@pytest.mark.parametrize("budget, message", [
+    ("-1", "bad byte size '-1'"),
+    ("abc", "bad byte size 'abc'"),
+    ("0", "budget must be positive and fit in 64 bits, got 0"),
+])
+def test_a_bad_budget_exits_2_in_every_command(capsys, tiny_suite_file,
+                                               full_reuse_schedule_file,
+                                               budget, message):
+    # --budget is parsed as --budgets is: a size that does not parse is
+    # bad input (2), not a usage error (1), and so is one that is not
+    # positive.
+    layer = ("--layer-file", tiny_suite_file)
+    schedule = ("--schedule", full_reuse_schedule_file)
+    for argv in (("search", *layer, f"--budget={budget}"),
+                 ("analyze", *layer, *schedule, f"--budget={budget}"),
+                 ("validate", *layer, *schedule, f"--budget={budget}"),
+                 ("sweep", *layer, f"--budgets={budget}")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+    # A missing --budget is still a usage error.
+    code, _, _ = run(capsys, "search", *layer)
     assert code == 1
 
 
@@ -361,6 +387,27 @@ def test_validate_refuses_oversized_nest_with_exit_3(capsys, tmp_path,
     assert f"cap of {oracle.DEFAULT_CAP}" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_oracle_cap_below_one_is_a_validation_error(capsys, tiny_suite_file,
+                                                   full_reuse_schedule_file,
+                                                   monkeypatch, cap):
+    # No nest runs fewer than one iteration, so such a cap admits none: bad
+    # input, refused before the walk, not a refusal of this nest (exit 3).
+    def walked(*args):
+        raise RuntimeError("the walk started")
+
+    monkeypatch.setattr(oracle, "_coefficients", walked)
+    code, out, err = run(capsys, "validate", "--layer-file", tiny_suite_file,
+                         "--schedule", full_reuse_schedule_file,
+                         "--oracle-cap", cap)
+    assert (code, out) == (2, "")
+    assert err == f"error: oracle cap must be at least 1, got {cap}\n"
+    code, out, _ = run(capsys, "validate", "--layer-file", tiny_suite_file,
+                       "--schedule", full_reuse_schedule_file,
+                       "--oracle-cap", "1")
+    assert code == 3 and not out
+
+
 def test_default_oracle_cap_admits_built_in_winners_past_10_8(capsys,
                                                               tmp_path):
     # The cheapest of the built-in layers' winners at 1, 4, 64 and 256 KiB
@@ -402,6 +449,20 @@ def test_cli_deterministic_across_worker_counts(capsys, tiny_suite_file,
                          "--budgets", "64,256")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch, tiny_suite_file):
+    # `python -m convsched ...` is `convsched ...`, exit code included.
+    for budget, code in (("4K", 0), ("-1", 2)):
+        monkeypatch.setattr(sys, "argv", [
+            "convsched", "search", "--layer-file", tiny_suite_file,
+            f"--budget={budget}", "--format", "csv"])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("convsched", run_name="__main__")
+        assert exited.value.code == code
+    out = capsys.readouterr().out
+    row = dict(zip(CSV_COLUMNS, out.strip().splitlines()[1].split(",")))
+    assert row["total"] == "344"
 
 
 def test_help_smoke(capsys):

@@ -24,6 +24,7 @@ from convsched import (
     LayerShape,
     LayerSuite,
     SearchConfig,
+    SearchResult,
     TilePolicy,
     Tiles,
     ValidationError,
@@ -35,6 +36,7 @@ from convsched import (
     enumerate_permutations,
     evaluate_layer,
     evaluate_layers,
+    find_builtin_layer,
     ideal_report,
     ideal_traffic,
     instantiate,
@@ -425,6 +427,14 @@ def _desk_layers(seed):
                          p_acc=p_out + int(rng.integers(0, 3)))
 
 
+# A 1x1 kernel leaves FX and FY unit loops, so candidates that differ only
+# in where those sit tie on traffic, buffer and spill, and the
+# serializations break the ties.
+_DESK_1X1 = LayerShape(name="desk-1x1", out_h=3, out_w=5, k_h=1, k_w=1,
+                       stride=1, c_in=3, c_out=3, p_in=2, p_w=1, p_out=1,
+                       p_acc=2)
+
+
 def _budget_sets(layer):
     whole = (layer.p_in * layer.c_in * layer.in_h * layer.in_w
              + layer.p_w * layer.c_out * layer.c_in * layer.k_h * layer.k_w
@@ -530,6 +540,13 @@ def _brute_force_cache(layer, budgets, policy):
     return _least(candidates, budgets, serial)
 
 
+@functools.cache
+def _full_space(layer, policy=TilePolicy()):
+    """The union of the layer's budget sets, and _brute_force over it."""
+    union = sorted({b for bs in _budget_sets(layer).values() for b in bs})
+    return union, _brute_force(layer, union, policy)
+
+
 def _check(results, best, fallback):
     for res, want in zip(results, best):
         got = (res.report.total, res.report.buffer_bytes, res.report.t_o_acc,
@@ -548,9 +565,7 @@ def test_pruned_search_matches_brute_force_over_the_full_space():
     # minima over every candidate; a few seconds.
     policy = TilePolicy()
     for layer in _desk_layers(seed=1):
-        union = sorted({b for bs in _budget_sets(layer).values() for b in bs})
-        (best, per_ordering, fallback), at_ideal = _brute_force(
-            layer, union, policy)
+        union, ((best, per_ordering, fallback), at_ideal) = _full_space(layer)
         cache_best_, _, cache_fallback = _brute_force_cache(layer, union,
                                                             policy)
         for name, budgets in _budget_sets(layer).items():
@@ -569,18 +584,67 @@ def test_pruned_search_matches_brute_force_over_the_full_space():
 
 def test_cache_model_matches_the_per_ordering_brute_force():
     # Every ordering's cuts, reduced one ordering at a time, against the
-    # cache model's one pass over prefix sets.  A 1x1 kernel leaves FX and
-    # FY unit loops, so sets that differ only in them tie on all three
-    # numbers and the sets' representative orderings break the tie; under
-    # pow2 no tile spans its axis, so every controlling loop runs.  Budgets
-    # of 1-3 B are below the least working set: the fallback answers.
-    layer = LayerShape(name="desk-1x1", out_h=3, out_w=5, k_h=1, k_w=1,
-                       stride=1, c_in=3, c_out=3, p_in=2, p_w=1, p_out=1,
-                       p_acc=2)
+    # cache model's one pass over prefix sets.  On the 1x1 kernel, sets
+    # that differ only in FX and FY tie on all three numbers and the sets'
+    # representative orderings break the tie; under pow2 no tile spans its
+    # axis, so every controlling loop runs.  Budgets of 1-3 B are below the
+    # least working set: the fallback answers.
+    layer = _DESK_1X1
     policy = TilePolicy(mode="pow2")
     budgets = sorted({b for bs in _budget_sets(layer).values() for b in bs})
     best, _, fallback = _brute_force_cache(layer, budgets, policy)
     _check(cache_results(layer, budgets, policy), best, fallback)
+
+
+def test_bound_shared_across_orderings_matches_brute_force():
+    # best_schedule and the sweep's ours bound each ordering by the best
+    # traffic found so far.  best_schedule at every budget of every set
+    # but the dense one, where one budget an octave keeps it to seconds
+    # (below the floor the fallback answers); ours at each whole set (the
+    # 64 dense budgets take the doubling grid); all against plain minima.
+    # The 1x1 kernel is tie-heavy, so a tile tied with the best must stay;
+    # pow2 tiles keep its brute force, which serializes every tie, cheap.
+    cases = [(layer, TilePolicy()) for layer in _desk_layers(seed=1)]
+    for layer, policy in cases + [(_DESK_1X1, TilePolicy(mode="pow2"))]:
+        sets = _budget_sets(layer)
+        union, ((best, _, fallback), _) = _full_space(layer, policy)
+        at = dict(zip(union, best))
+        singles = sorted({b for name, bs in sets.items() if name != "dense"
+                          for b in bs} | set(sets["dense"][::8]))
+        _check([best_schedule(layer, b, SearchConfig(tile_policy=policy))
+                for b in singles], [at[b] for b in singles], fallback)
+        for name, budgets in sets.items():
+            rows = search._MODELS["ours"](layer, budgets, policy, True)
+            _check([SearchResult(layer.name, b, *row)
+                    for b, row in zip(budgets, rows)],
+                   [at[b] for b in budgets], fallback)
+
+
+@pytest.mark.parametrize("seed, index", [(2, 1), (3, 2)])
+def test_shared_bound_keeps_ties_between_grid_points(seed, index):
+    # On these desk layers' dense budgets a later ordering wins a tie with
+    # a tile whose lower bound at the next grid point equals the best so
+    # far at the last one: a strict comparison there loses the winner.
+    layer = list(_desk_layers(seed))[index]
+    dense = _budget_sets(layer)["dense"]
+    want = evaluate_layer(layer, dense).results
+    assert search._MODELS["ours"](layer, dense, TilePolicy(), True) == [
+        (r.schedule, r.assignment, r.report, r.candidates) for r in want]
+
+
+@pytest.mark.parametrize("name", ["ZFNet-6", "Inception-4-3", "ResNet-2-1"])
+def test_shared_bound_answers_as_evaluate_layer(name):
+    # A 1x7 and a 1x1 kernel among them; nothing fits at 1 B.
+    layer = find_builtin_layer(name)
+    budgets = (1, 1024, 65536)
+    want = evaluate_layer(layer, budgets).results
+    got = [best_schedule(layer, b) for b in budgets]
+    ours = search._MODELS["ours"](layer, budgets, TilePolicy(), True)
+    assert list(want) == got
+    assert [(r.schedule, r.assignment, r.report, r.candidates)
+            for r in want] == ours
+    assert ([schedule_to_json(r.schedule, r.assignment) for r in want]
+            == [schedule_to_json(r.schedule, r.assignment) for r in got])
 
 
 # ---------------------------------------------------------------------------
