@@ -2,10 +2,10 @@
 
 The package splits into layer/suite ingestion (layers, suites), the schedule
 space (space), the closed-form traffic model (model), a brute-force trace
-oracle that checks it (oracle), the exhaustive search with its sweep and
-distribution front-ends (search), two comparison cost models (baselines),
-and two fixed accelerator schedules (casestudy).  The cli module exposes all
-of it as the `convsched` command.
+oracle that checks it (oracle), the evaluation engine (engine), two
+comparison cost models (baselines), two fixed accelerator schedules
+(casestudy), and the search with its sweep and distribution front-ends
+(search).  The cli module exposes all of it as the `convsched` command.
 """
 
 from __future__ import annotations
@@ -37,16 +37,15 @@ from .suites import (
     find_builtin_layer,
 )
 from .oracle import OracleCapError, simulate, validate
+from .engine import SearchResult, min_budget_for_ideal
 from .search import (
     LayerEvaluation,
     SearchConfig,
-    SearchResult,
     best_schedule,
     distribution,
     distribution_from,
     evaluate_layer,
     evaluate_layers,
-    min_budget_for_ideal,
     sweep,
 )
 from .baselines import cache_best, cache_results, peemen_best

@@ -17,8 +17,8 @@ localized space.  All of that depends only on the set of localized loops,
 so the model prices each prefix set the orderings cut at once (39 for the
 pruned 180 orderings, against 1,800 cuts), not each ordering's cuts.
 
-Both price their own candidates but rank them on the search's staircase
-and materialize the winners through its _answers: one pass answers every
+Both price their own candidates but rank them on the engine's staircase
+and materialize the winners through its answers: one pass answers every
 budget, with the search's tie-break and exact cross-check.
 """
 
@@ -30,16 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import LayerShape, ValidationError
+from .engine import (
+    AXIS_ROW, HUGE, POS_TIF, SearchResult, Staircase, answers,
+    check_int64_range, layer_extents, layer_space, least_buffer, nest_of,
+    precompute_requirements, prefix_tables, tile_vectors,
+)
+from .layers import CrossCheckError, LayerShape, ValidationError
 from .model import (
     Axis, Tiles, TrafficReport, axis_full_extent, format_schedule,
     schedule_to_json, traffic, window_extent,
-)
-from .search import (
-    _AXIS_ROW, _HUGE, _POS_TIF, CrossCheckError, SearchResult, _answers,
-    _check_int64_range, _layer_extents, _layer_space, _least_buffer,
-    _nest_of, _prefix_tables, _Staircase, _tile_vectors,
-    precompute_requirements,
 )
 from .space import TILEABLE_AXES, TilePolicy, enumerate_tiles
 
@@ -125,7 +124,7 @@ def _peemen_report(candidate: PeemenCandidate, layer: LayerShape,
 
 
 def _peemen_payload(candidate: PeemenCandidate, layer: LayerShape) -> tuple:
-    """The candidate as _answers materializes it: (canonical body, tiles,
+    """The candidate as answers materializes it: (canonical body, tiles,
     (I, W, O) levels, controlling loops innermost first, candidate).  The
     case loop sits innermost among the controlling loops, and the arrays
     are buffered atop the body.  The array the case loop reuses (inputs
@@ -153,30 +152,30 @@ def peemen_results(layer: LayerShape, budgets: tuple[int, ...],
     The spatial cases keep their axis untiled: the case formulas already
     charge the full row or column stream, so tiling that axis cannot change
     traffic and would only under-book the stripe's buffer.  The four case
-    grids are one candidate list on the search's staircase, so the
+    grids are one candidate list on the engine's staircase, so the
     tie-break is the search's; where nothing fits, the least (buffer,
     traffic, spill, serialization) candidate is reported as infeasible.
     """
-    stairs = _Staircase(budgets)
+    stairs = Staircase(budgets)
     base_menus = enumerate_tiles(layer, policy or TilePolicy())
     # In every case, trips times each case buffer is at most the product of
     # the loop spans (times the stride window, for inputs), so the search's
     # bound covers the case formulas too.
-    _check_int64_range(layer, base_menus)
+    check_int64_range(layer, base_menus)
     grids = []
     for i, case in enumerate(PEEMEN_CASES):
         menus = dict(base_menus)
         if case in ("TSY", "TSX"):
             axis = _CASE_AXIS[case]
             menus[axis] = (axis_full_extent(axis, layer),)
-        tiles = _tile_vectors(menus)
+        tiles = tile_vectors(menus)
         grids.append((np.full(tiles[0].size, i), *tiles,
                       *_case_vectors(case, layer, *tiles)))
     case, mss, css, iss, jss, t_in, t_w, t_o = map(np.concatenate, zip(*grids))
     b_i, b_w, b_o = _buffer_elements(layer, mss, css, iss, jss)
     final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
     # (traffic, buffer) bytes of I, W and O as (1, N) level tables, the
-    # output's traffic its spill alone, as the search's _byte_tables.
+    # output's traffic its spill alone, as the engine's _byte_tables.
     arrays = [(t[None], b[None]) for t, b in (
         (t_in + final, layer.p_in * b_i), (t_w, layer.p_w * b_w),
         (t_o - final, layer.p_acc * b_o))]
@@ -190,14 +189,14 @@ def peemen_results(layer: LayerShape, budgets: tuple[int, ...],
         candidate = PeemenCandidate(PEEMEN_CASES[case[flat]], Tiles(
             int(mss[flat]), int(css[flat]), int(iss[flat]), int(jss[flat])))
         payload = _peemen_payload(candidate, layer)
-        return schedule_to_json(*_nest_of(layer, payload)), payload
+        return schedule_to_json(*nest_of(layer, payload)), payload
 
     def report_of(payload, budget):
         """The case formulas' report; the equivalent schedule in our own
         model can never cost more."""
         candidate = payload[4]
         report = _peemen_report(candidate, layer, budget)
-        ours = traffic(*_nest_of(layer, payload)).total
+        ours = traffic(*nest_of(layer, payload)).total
         if ours > report.total:
             raise CrossCheckError(
                 f"{layer.name} at budget {budget}: the scalar model prices "
@@ -205,11 +204,11 @@ def peemen_results(layer: LayerShape, budgets: tuple[int, ...],
                 f"at {ours} B, above its own {report.total} B")
         return report
 
-    floor, _, _, fb = _least_buffer(arrays, lambda idx, t: decode(t)[0])
+    floor, _, _, fb = least_buffer(arrays, lambda idx, t: decode(t)[0])
     stairs.add(t_in + t_w + t_o, sum(w[0] for _, w in arrays), floor,
                arrays[2][0][0].__getitem__, lambda ids: levels[:, ids], decode)
-    return _answers(layer, budgets, stairs, decode(fb)[1], case.size,
-                    report_of)
+    return answers(layer, budgets, stairs, decode(fb)[1], case.size,
+                   report_of)
 
 
 def peemen_best(layer: LayerShape, budget: int,
@@ -221,11 +220,11 @@ def peemen_best(layer: LayerShape, budget: int,
 # ---------------------------------------------------------------------------
 # Cache model.
 
-# Rows of the layer's stacked extents (search._AXIS_ROW) whose loops
+# Rows of the layer's stacked extents (engine.AXIS_ROW) whose loops
 # revisit the same outputs: the kernel and input-channel body loops and
 # the input-channel controlling loop.
-_O_REUSE_ROWS = (_AXIS_ROW[Axis.FX], _AXIS_ROW[Axis.FY], _AXIS_ROW[Axis.IF],
-                 _POS_TIF)
+_O_REUSE_ROWS = (AXIS_ROW[Axis.FX], AXIS_ROW[Axis.FY], AXIS_ROW[Axis.IF],
+                 POS_TIF)
 
 
 @functools.cache
@@ -265,15 +264,15 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
     All three numbers depend only on the set of localized loops, so each
     prefix set is priced once (_cache_sets), standing for every ordering
     that cuts at it through the least-serialized one, which wins their
-    ties.  Each cut's sets join the search's staircase in one call, so all
+    ties.  Each cut's sets join the engine's staircase in one call, so all
     budgets, in any order and repeats included, cost about one.  Where no
     working set fits, the first least (working set, traffic) candidate in
     ordering, cut and tile order is reported as infeasible.  The candidate
     count covers every ordering, cut and tile.
     """
-    stairs = _Staircase(budgets)
+    stairs = Staircase(budgets)
     plans = precompute_requirements()
-    tiles, tabs, compact = _layer_space(
+    tiles, tabs, compact = layer_space(
         layer, enumerate_tiles(layer, policy or TilePolicy()), plans)
     n_t = tiles[0].size
     final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
@@ -290,7 +289,7 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
     for r, (ids, reps) in enumerate(_cuts()):
         t_in, t_w, t_acc, b_in, b_w, b_o = _cache_sets(layer, tabs, ids)
         ws, tot = b_in + b_w + b_o, t_in + t_w + t_acc + final
-        at_floor = np.where(ws == ws.min(axis=1, keepdims=True), tot, _HUGE)
+        at_floor = np.where(ws == ws.min(axis=1, keepdims=True), tot, HUGE)
         first = at_floor.argmin(axis=1)
         for s, (i, t) in enumerate(zip(ids.tolist(), first.tolist())):
             least[i] = (int(ws[s, t]), int(tot[s, t]), t)
@@ -314,7 +313,7 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
         """The candidate's report, from the tables of its tile alone."""
         _, tile, _, _, plan, r = payload
         one = tuple(np.asarray([v], dtype=np.int64) for v in tile)
-        own = _prefix_tables(layer, _layer_extents(layer, one), (plan,))
+        own = prefix_tables(layer, layer_extents(layer, one), (plan,))
         t_in, t_w, t_acc, b_in, b_w, b_o = (
             int(part[r, 0]) for part in _cache_tables(plan, layer, own))
         return TrafficReport(
@@ -322,8 +321,8 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
             total=t_in + t_w + t_acc + final, b_in=b_in, b_w=b_w, b_o=b_o,
             feasible=b_in + b_w + b_o <= budget)
 
-    return _answers(layer, budgets, stairs, fallback, len(plans) * 10 * n_t,
-                    report_of)
+    return answers(layer, budgets, stairs, fallback, len(plans) * 10 * n_t,
+                   report_of)
 
 
 def _cache_sets(layer: LayerShape, tabs, ids: np.ndarray

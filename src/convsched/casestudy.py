@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .engine import (
+    SearchResult, check_budgets, evaluate, least_buffer, make_plan,
+)
 from .layers import CrossCheckError, LayerShape, LayerSuite, ValidationError
 from .model import (
     Axis,
@@ -22,7 +25,6 @@ from .model import (
     axis_full_extent,
     traffic,
 )
-from .search import SearchResult, _evaluate, _least_buffer, _make_plan
 from .space import TilePolicy, enumerate_tiles, instantiate
 
 # HWC tile body, innermost first: a SIMD row of outputs for a block of
@@ -48,15 +50,14 @@ class HwcConfig:
     simd: int = 16
 
     def __post_init__(self) -> None:
-        if self.budget <= 0:
-            raise ValidationError(f"budget must be positive: {self.budget}")
+        check_budgets((self.budget,))
         if self.simd < 1:
             raise ValidationError(f"SIMD width must be >= 1: {self.simd}")
 
 
-# The search's plan of the HWC body with its levels pinned.  All three are
+# The engine's plan of the HWC body with its levels pinned.  All three are
 # body positions, which level compaction leaves as they are.
-_HWC_PLAN = replace(_make_plan(HWC_BODY),
+_HWC_PLAN = replace(make_plan(HWC_BODY),
                     cand_levels={a: (HWC_LEVELS.level(a),) for a in "IWO"})
 
 
@@ -72,7 +73,7 @@ def hwc_results(layer: LayerShape, budgets: tuple[int, ...],
     HwcConfig(simd=simd)  # the width; the staircase checks the budgets
     menus = enumerate_tiles(layer, TilePolicy())
     menus[Axis.SX] = (min(simd, layer.out_w),)
-    return _evaluate(layer, budgets, menus, (_HWC_PLAN,), _least_buffer)[0]
+    return evaluate(layer, budgets, menus, (_HWC_PLAN,), least_buffer)[0]
 
 
 def hwc_schedule(

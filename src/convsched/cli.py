@@ -28,13 +28,11 @@ import re
 import sys
 from pathlib import Path
 
+from .engine import DEFAULT_BUDGETS, check_budgets
 from .layers import LayerShape, LayerSuite, ValidationError, parse_layer_suite
 from .model import ARRAYS, schedule_from_json, schedule_to_json, traffic
 from .oracle import DEFAULT_CAP, OracleCapError, validate
-from .search import (
-    DEFAULT_BUDGETS, MODEL_ORDER, SearchConfig, _check_budgets, _sweep_task,
-    distribution, sweep,
-)
+from .search import MODEL_ORDER, SearchConfig, distribution, model_rows, sweep
 from .space import TILE_POLICY_MODES, TilePolicy
 from .suites import BUILTIN_SUITE_NAMES, builtin_suite, find_builtin_layer
 
@@ -90,7 +88,7 @@ def _parse_budgets(spec: str, parse=parse_budget_list) -> tuple[int, ...]:
         budgets = parse(spec)
     except ValueError as e:
         raise ValidationError(str(e)) from e
-    _check_budgets(budgets)
+    check_budgets(budgets)
     return budgets
 
 
@@ -198,8 +196,8 @@ def cmd_search(args, out) -> int:
     suite_name, layer = _resolve_layer(args)
     budget = _parse_budget(args.budget)
     # The sweep's own step, so a search row is the sweep's row.
-    [(report, serial, candidates)] = _sweep_task(
-        (layer, args.model, (budget,), _policy(args), not args.no_prune))
+    [(report, serial, candidates)] = model_rows(
+        layer, args.model, (budget,), _policy(args))
     if args.format == "csv":
         _emit_csv(out, [_report_row(suite_name, layer.name, args.model,
                                     budget, report, serial)])
@@ -220,7 +218,7 @@ def cmd_sweep(args, out) -> int:
         raise ValidationError("sweep needs --suite or --layer-file")
     models = tuple(m.strip() for m in args.model.split(","))
     config = SearchConfig(budgets=_parse_budgets(args.budgets),
-                          tile_policy=_policy(args), prune=not args.no_prune)
+                          tile_policy=_policy(args))
     result = sweep(suite, config, models)
 
     rows = [_report_row(r.suite, r.layer, r.model, r.budget, r.report,
@@ -283,7 +281,7 @@ def cmd_distribution(args, out) -> int:
         layers = [l for name in BUILTIN_SUITE_NAMES
                   for l in builtin_suite(name)]
     budgets = _parse_budgets(args.budgets)
-    table = distribution(layers, budgets, _policy(args), not args.no_prune)
+    table = distribution(layers, budgets, _policy(args))
     if args.format == "text":
         print(f"layers {table.layer_count}  orderings {table.ordering_count}",
               file=out)
@@ -318,8 +316,6 @@ def _add_space_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tile-policy", choices=[m for m in TILE_POLICY_MODES
                                              if m != "explicit"],
                    default="pow2-extents", help="tile-size enumeration mode")
-    p.add_argument("--no-prune", action="store_true",
-                   help="search all 720 orderings instead of the pruned 180")
 
 
 def _add_out_flags(p: argparse.ArgumentParser, default_format: str) -> None:

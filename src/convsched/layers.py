@@ -25,7 +25,7 @@ class CrossCheckError(RuntimeError):
     """An engine or oracle answer disagrees with the check that arbitrates it."""
 
 
-def _is_int(v) -> bool:
+def is_int(v) -> bool:
     """An int, not a bool: JSON true and false load as bools, which are ints."""
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -61,7 +61,7 @@ class LayerShape:
                     raise ValidationError("layer name must be non-empty")
                 continue
             v = getattr(self, f.name)
-            if not _is_int(v) or v < (0 if f.name in ("in_h", "in_w") else 1):
+            if not is_int(v) or v < (0 if f.name in ("in_h", "in_w") else 1):
                 raise ValidationError(
                     f"layer {self.name!r}: field {f.name} must be a positive "
                     f"integer, got {v!r}"

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .layers import LayerShape, ValidationError, _is_int
+from .layers import LayerShape, ValidationError, is_int
 
 ARRAYS = ("I", "W", "O")
 
@@ -448,7 +448,7 @@ def schedule_from_dict(doc: dict, layer: LayerShape) -> tuple[Schedule, Bufferin
     if not isinstance(raw_tiles, dict) or set(raw_tiles) - {"mss", "css", "iss", "jss"}:
         raise ValidationError('"tiles" must map mss/css/iss/jss to sizes')
     for key, v in raw_tiles.items():
-        if not _is_int(v):
+        if not is_int(v):
             raise ValidationError(f"tile size {key} must be an integer")
     tiles = Tiles(
         mss=raw_tiles.get("mss", layer.c_out),
@@ -466,7 +466,7 @@ def schedule_from_dict(doc: dict, layer: LayerShape) -> tuple[Schedule, Bufferin
     if not isinstance(raw_buf, dict) or set(raw_buf) != {"I", "W", "O"}:
         raise ValidationError('"buffering" must map I, W, and O to loop levels')
     for key, v in raw_buf.items():
-        if not _is_int(v):
+        if not is_int(v):
             raise ValidationError(f"buffering level for {key} must be an integer")
     assignment = BufferingAssignment(*(raw_buf[a] for a in ARRAYS))
     assignment.check(schedule)

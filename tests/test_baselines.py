@@ -42,7 +42,7 @@ from convsched.baselines import (
 )
 from convsched.cli import main
 from convsched.model import window_extent
-from convsched.search import _HUGE, _nest_of, _tile_vectors
+from convsched.engine import HUGE, nest_of, tile_vectors
 from convsched.space import enumerate_tiles
 from conftest import make_tiny
 
@@ -216,7 +216,7 @@ def test_case_vectors_match_the_four_branch_reference():
     layers = [l for seed in (5, 6) for l in _desk_layers(seed)]
     for layer in layers + [l.transpose() for l in layers]:
         for policy in (TilePolicy("pow2"), TilePolicy("pow2-extents")):
-            tiles = _tile_vectors(enumerate_tiles(layer, policy))
+            tiles = tile_vectors(enumerate_tiles(layer, policy))
             for case in PEEMEN_CASES:
                 got = _case_vectors(case, layer, *tiles)
                 want = _reference_case_vectors(case, layer, *tiles)
@@ -229,7 +229,7 @@ def test_case_vectors_match_the_four_branch_reference():
 # The staircase-ranked Peemen search against a per-case, per-budget loop.
 
 def _embed(candidate, layer):
-    return _nest_of(layer, _peemen_payload(candidate, layer))
+    return nest_of(layer, _peemen_payload(candidate, layer))
 
 
 def _scalar_peemen(layer, budget, policy=None):
@@ -248,7 +248,7 @@ def _scalar_peemen(layer, budget, policy=None):
             menus[Axis.SY] = (layer.out_h,)
         elif case == "TSX":
             menus[Axis.SX] = (layer.out_w,)
-        mss_v, css_v, iss_v, jss_v = _tile_vectors(menus)
+        mss_v, css_v, iss_v, jss_v = tile_vectors(menus)
         candidates += mss_v.size
         b_i, b_w, b_o = _buffer_elements(layer, mss_v, css_v, iss_v, jss_v)
         sb = layer.p_in * b_i + layer.p_w * b_w + layer.p_acc * b_o
@@ -277,7 +277,7 @@ def _scalar_peemen(layer, budget, policy=None):
         if fallback is None or fb[:4] < fallback[:4]:
             fallback = fb
         if (sb <= budget).any():
-            cand = reduce(np.where(sb <= budget, total, _HUGE), sb)
+            cand = reduce(np.where(sb <= budget, total, HUGE), sb)
             if best is None or cand[:4] < best[:4]:
                 best = cand
 

@@ -30,7 +30,7 @@ from convsched import (
     traffic,
 )
 from convsched.casestudy import HWC_BODY, HWC_LEVELS, HWCE_LEVELS, hwc_results
-from convsched.search import _least_buffer
+from convsched.engine import least_buffer
 from convsched.space import enumerate_tiles
 from conftest import make_tiny
 
@@ -182,10 +182,10 @@ def test_hwc_fallback_breaks_ties_on_spill_then_serialization():
     serial = {0: "a", 1: "b"}
     arrays = [(tiles(10, 12), tiles(3, 3)), (tiles(5, 5), tiles(2, 2)),
               (tiles(4, 2), tiles(1, 1))]
-    assert _least_buffer(arrays, lambda idx, t: serial[t]) == (6, 19, (0, 0, 0), 1)
+    assert least_buffer(arrays, lambda idx, t: serial[t]) == (6, 19, (0, 0, 0), 1)
     arrays[2] = (tiles(3, 3), tiles(1, 1))
     arrays[0] = (tiles(11, 11), tiles(3, 3))
-    assert _least_buffer(arrays, lambda idx, t: serial[t]) == (6, 19, (0, 0, 0), 0)
+    assert least_buffer(arrays, lambda idx, t: serial[t]) == (6, 19, (0, 0, 0), 0)
 
 
 def test_hwc_results_validates_budgets_and_simd():

@@ -142,7 +142,7 @@ def test_search_unknown_model_is_a_usage_error(capsys, tiny_suite_file):
 @pytest.mark.parametrize("budget, message", [
     ("-1", "bad byte size '-1'"),
     ("abc", "bad byte size 'abc'"),
-    ("0", "budget must be positive and fit in 64 bits, got 0"),
+    ("0", "budget must be positive and fit in 64 bits as an integer, got 0"),
 ])
 def test_a_bad_budget_exits_2_in_every_command(capsys, tiny_suite_file,
                                                full_reuse_schedule_file,
@@ -222,8 +222,8 @@ def test_every_command_states_the_budget_rule_alike(
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         errors.add(err)
-    assert errors == {"error: budget must be positive and fit in 64 bits, "
-                      "got 0\n"}
+    assert errors == {"error: budget must be positive and fit in 64 bits as "
+                      "an integer, got 0\n"}
     # The largest int64 is a budget.
     code, out, _ = run(capsys, "search", *layer, "--budget",
                        str(2 ** 63 - 1), "--model", "cache")

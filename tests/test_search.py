@@ -24,7 +24,6 @@ from convsched import (
     LayerShape,
     LayerSuite,
     SearchConfig,
-    SearchResult,
     TilePolicy,
     Tiles,
     ValidationError,
@@ -44,7 +43,7 @@ from convsched import (
     schedule_to_json,
     traffic,
 )
-from convsched import baselines, casestudy, search
+from convsched import baselines, casestudy, engine, search
 from convsched.cli import main
 from convsched.search import worker_count
 from convsched.space import enumerate_tiles
@@ -240,8 +239,8 @@ def test_every_model_refuses_a_non_positive_budget(monkeypatch):
     def no_tables(*args):
         raise AssertionError("tables built for a non-positive budget")
 
-    monkeypatch.setattr(search, "_prefix_tables", no_tables)
-    monkeypatch.setattr(baselines, "_tile_vectors", no_tables)
+    monkeypatch.setattr(engine, "prefix_tables", no_tables)
+    monkeypatch.setattr(baselines, "tile_vectors", no_tables)
     tiny = make_tiny()
     for budgets in ((0,), (-5,), (0, -5), (1024, 0)):
         for call in (evaluate_layer, baselines.peemen_results,
@@ -253,6 +252,29 @@ def test_every_model_refuses_a_non_positive_budget(monkeypatch):
     for budget in (0, -5):
         with pytest.raises(ValidationError, match="must be positive"):
             best_schedule(tiny, budget)
+
+
+@pytest.mark.parametrize("budget", [1024.7, True, "1024", 2 ** 70])
+def test_one_budget_rule_refuses_non_integers_and_past_int64(budget):
+    # A float once ran ranked at its floor, True as a 1-byte budget and a
+    # string ended in a TypeError; the HWC configuration kept a looser
+    # copy of the rule that the HWCE answered through.
+    layer = find_builtin_layer("ZFNet-6")
+    message = ("budget must be positive and fit in 64 bits as an integer, "
+               f"got {budget!r}")
+    for call in (lambda: best_schedule(layer, budget),
+                 lambda: evaluate_layer(layer, (budget,)),
+                 lambda: baselines.peemen_best(layer, budget),
+                 lambda: cache_best(layer, budget),
+                 lambda: casestudy.hwc_results(layer, (budget,)),
+                 lambda: casestudy.hwc_schedule(
+                     layer, casestudy.HwcConfig(budget=budget)),
+                 lambda: casestudy.hwce_schedule(
+                     layer, casestudy.HwcConfig(budget=budget)),
+                 lambda: SearchConfig(budgets=(budget,))):
+        with pytest.raises(ValidationError) as refused:
+            call()
+        assert str(refused.value) == message
 
 
 def test_search_config_validation():
@@ -364,22 +386,22 @@ def test_cross_check_raises_under_python_O():
     # prices the engine's winner as the engine did must still fire.
     script = textwrap.dedent("""
         import dataclasses, sys
-        from convsched import LayerShape, search
+        from convsched import LayerShape, engine, search
         if __debug__:
             sys.exit("not running under -O")
-        real = search.traffic
+        real = engine.traffic
 
         def off_by_one(*args, **kwargs):
             rep = real(*args, **kwargs)
             return dataclasses.replace(rep, t_in=rep.t_in + 1,
                                        total=rep.total + 1)
 
-        search.traffic = off_by_one
+        engine.traffic = off_by_one
         layer = LayerShape(name="tiny", out_h=6, out_w=6, k_h=3, k_w=3,
                            stride=1, c_in=2, c_out=4)
         try:
             search.evaluate_layer(layer, (256,))
-        except search.CrossCheckError as e:
+        except engine.CrossCheckError as e:
             print(e)
         else:
             sys.exit("no CrossCheckError")
@@ -494,13 +516,13 @@ def _brute_force(layer, budgets, policy):
     """The search's full cross product, reduced without bounds or stairs;
     also the least buffer at ideal traffic."""
     plans = search.precompute_requirements()
-    tiles = search._tile_vectors(enumerate_tiles(layer, policy))
-    tabs = search._prefix_tables(
-        layer, search._layer_extents(layer, tiles), plans)
+    tiles = engine.tile_vectors(enumerate_tiles(layer, policy))
+    tabs = engine.prefix_tables(
+        layer, engine.layer_extents(layer, tiles), plans)
     ideal = ideal_traffic(layer)
     candidates, shapes, at_ideal = [], [], []
     for plan in plans:
-        (ti, bi), (tw, bw), (to, bo) = search._byte_tables(
+        (ti, bi), (tw, bw), (to, bo) = engine._byte_tables(
             plan, layer, tabs)
         st = ti[:, None, None] + tw[None, :, None] + to[None, None]
         sb = bi[:, None, None] + bw[None, :, None] + bo[None, None]
@@ -521,9 +543,9 @@ def _brute_force(layer, budgets, policy):
 
 def _brute_force_cache(layer, budgets, policy):
     plans = search.precompute_requirements()
-    tiles = search._tile_vectors(enumerate_tiles(layer, policy))
-    tabs = search._prefix_tables(
-        layer, search._layer_extents(layer, tiles), plans)
+    tiles = engine.tile_vectors(enumerate_tiles(layer, policy))
+    tabs = engine.prefix_tables(
+        layer, engine.layer_extents(layer, tiles), plans)
     final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
     candidates = []
     for plan in plans:
@@ -611,12 +633,10 @@ def test_bound_shared_across_orderings_matches_brute_force():
         at = dict(zip(union, best))
         singles = sorted({b for name, bs in sets.items() if name != "dense"
                           for b in bs} | set(sets["dense"][::8]))
-        _check([best_schedule(layer, b, SearchConfig(tile_policy=policy))
+        _check([best_schedule(layer, b, policy)
                 for b in singles], [at[b] for b in singles], fallback)
         for name, budgets in sets.items():
-            rows = search._MODELS["ours"](layer, budgets, policy, True)
-            _check([SearchResult(layer.name, b, *row)
-                    for b, row in zip(budgets, rows)],
+            _check(search._MODELS["ours"](layer, budgets, policy),
                    [at[b] for b in budgets], fallback)
 
 
@@ -628,8 +648,7 @@ def test_shared_bound_keeps_ties_between_grid_points(seed, index):
     layer = list(_desk_layers(seed))[index]
     dense = _budget_sets(layer)["dense"]
     want = evaluate_layer(layer, dense).results
-    assert search._MODELS["ours"](layer, dense, TilePolicy(), True) == [
-        (r.schedule, r.assignment, r.report, r.candidates) for r in want]
+    assert search._MODELS["ours"](layer, dense, TilePolicy()) == list(want)
 
 
 @pytest.mark.parametrize("name", ["ZFNet-6", "Inception-4-3", "ResNet-2-1"])
@@ -639,10 +658,9 @@ def test_shared_bound_answers_as_evaluate_layer(name):
     budgets = (1, 1024, 65536)
     want = evaluate_layer(layer, budgets).results
     got = [best_schedule(layer, b) for b in budgets]
-    ours = search._MODELS["ours"](layer, budgets, TilePolicy(), True)
+    ours = search._MODELS["ours"](layer, budgets, TilePolicy())
     assert list(want) == got
-    assert [(r.schedule, r.assignment, r.report, r.candidates)
-            for r in want] == ours
+    assert list(want) == ours
     assert ([schedule_to_json(r.schedule, r.assignment) for r in want]
             == [schedule_to_json(r.schedule, r.assignment) for r in got])
 
@@ -712,7 +730,7 @@ def _reference_tables(plan, layer, extents):
 
 
 def _reference_byte_tables(plan, layer, ref):
-    """search._byte_tables of one ordering from its _reference_tables,
+    """engine._byte_tables of one ordering from its _reference_tables,
     level by level."""
     ext, suffix, ft, masks = ref
     distinct = layer.c_out * layer.out_h * layer.out_w
@@ -773,13 +791,13 @@ def test_prefix_tables_match_the_per_ordering_reference():
                  search.precompute_requirements(), (_HWC_PLAN,))
     for base in _desk_layers(seed=2):
         for layer in (base, base.transpose()):
-            extents = search._layer_extents(layer, search._tile_vectors(
+            extents = engine.layer_extents(layer, engine.tile_vectors(
                 enumerate_tiles(layer, TilePolicy())))
             for plans in plan_sets:
-                tabs = search._prefix_tables(layer, extents, plans)
+                tabs = engine.prefix_tables(layer, extents, plans)
                 for plan in plans:
                     ref = _reference_tables(plan, layer, extents)
-                    got = search._byte_tables(plan, layer, tabs)
+                    got = engine._byte_tables(plan, layer, tabs)
                     want = _reference_byte_tables(plan, layer, ref)
                     for (tr, bf), (ref_tr, ref_bf) in zip(got, want):
                         _same(tr, ref_tr)
@@ -797,12 +815,19 @@ def test_unpruned_search_covers_720_orderings_and_never_loses(capsys,
                                                                tmp_path):
     # The unpruned space cuts at prefix sets the pruned 180 never do (FY
     # inside without FX); its orderings shared with the pruned space keep
-    # their bests, and its winner is never worse.
+    # their bests, and its winner is never worse.  Only the engine opens
+    # it: no front-end or command takes the 720 orderings.
     layer = next(_desk_layers(seed=3))  # 3x1 kernel, stride 2
     sets = _budget_sets(layer)
     budgets = sets["one"] + sets["ten octaves"] + sets["below the floor"]
     pruned = evaluate_layer(layer, budgets)
-    full = evaluate_layer(layer, budgets, prune=False)
+    plans = search.precompute_requirements(prune=False)
+    results, ordering_best, candidates = engine.evaluate(
+        layer, budgets, enumerate_tiles(layer, TilePolicy()), plans)
+    full = search.LayerEvaluation(
+        layer=layer, budgets=budgets, results=tuple(results),
+        orderings=tuple(p.ordering for p in plans),
+        ordering_best=ordering_best, candidates=candidates)
     assert full.orderings == enumerate_permutations(prune=False)
     assert full.ordering_best.shape == (720, len(budgets))
     shared = [full.orderings.index(o) for o in pruned.orderings]
@@ -818,9 +843,8 @@ def test_unpruned_search_covers_720_orderings_and_never_loses(capsys,
     path.write_text(LayerSuite("desk", (layer,)).to_json())
     code = main(["search", "--layer-file", str(path), "--budget",
                  str(budgets[0]), "--no-prune"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert f"candidates {full.candidates}" in out
+    assert code == 1
+    assert "unrecognized arguments: --no-prune" in capsys.readouterr().err
 
 
 def test_fallback_is_taken_only_when_a_budget_needs_it(monkeypatch):
@@ -832,7 +856,7 @@ def test_fallback_is_taken_only_when_a_budget_needs_it(monkeypatch):
 
     tiny = make_tiny()
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_first_least", refused)
+        patch.setattr(engine, "_first_least", refused)
         ev = evaluate_layer(tiny, (1024, 65536))
         assert all(r.feasible for r in ev.results)
         with pytest.raises(RuntimeError, match="no-fit"):

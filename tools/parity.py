@@ -113,7 +113,8 @@ def digests() -> dict[str, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    ap = argparse.ArgumentParser(
+        description="Capture or check the digests of the package's outputs.")
     ap.add_argument("action", choices=("capture", "check"))
     args = ap.parse_args(argv)
     got = digests()
