@@ -6,6 +6,11 @@ oracle that checks it (oracle), the evaluation engine (engine), two
 comparison cost models (baselines), two fixed accelerator schedules
 (casestudy), and the search with its sweep and distribution front-ends
 (search).  The cli module exposes all of it as the `convsched` command.
+
+Each model the sweep compares has one entry point: the search's
+evaluate_layer (best_schedule for one budget), baselines.peemen_results,
+cache_results, casestudy.hwc_results, each answering every budget in one
+pass, and casestudy.hwce_schedule, one budget at a time.
 """
 
 from __future__ import annotations
@@ -40,18 +45,14 @@ from .oracle import OracleCapError, simulate, validate
 from .engine import SearchResult, min_budget_for_ideal
 from .search import (
     LayerEvaluation,
-    SearchConfig,
     best_schedule,
     distribution,
     distribution_from,
     evaluate_layer,
-    evaluate_layers,
     sweep,
 )
-from .baselines import cache_best, cache_results, peemen_best
-from .casestudy import (
-    HwcConfig, hwc_schedule, hwce_schedule, hwce_vs_hwc_ratio,
-)
+from .baselines import cache_results
+from .casestudy import hwce_schedule, hwce_vs_hwc_ratio
 
 __version__ = "0.1.0"
 
@@ -60,13 +61,11 @@ __all__ = [
     "BUILTIN_SUITE_NAMES",
     "BufferingAssignment",
     "CrossCheckError",
-    "HwcConfig",
     "LayerEvaluation",
     "LayerShape",
     "LayerSuite",
     "OracleCapError",
     "Schedule",
-    "SearchConfig",
     "SearchResult",
     "TilePolicy",
     "Tiles",
@@ -75,15 +74,12 @@ __all__ = [
     "all_builtin_layers",
     "best_schedule",
     "builtin_suite",
-    "cache_best",
     "cache_results",
     "distribution",
     "distribution_from",
     "enumerate_permutations",
     "evaluate_layer",
-    "evaluate_layers",
     "find_builtin_layer",
-    "hwc_schedule",
     "hwce_schedule",
     "hwce_vs_hwc_ratio",
     "ideal_report",
@@ -91,7 +87,6 @@ __all__ = [
     "instantiate",
     "min_budget_for_ideal",
     "parse_layer_suite",
-    "peemen_best",
     "schedule_from_json",
     "schedule_to_json",
     "simulate",

@@ -101,11 +101,6 @@ def _case_vectors(case: str, layer: LayerShape, mss, css, iss, jss
     return moves * layer.p_in * b_i, moves * layer.p_w * b_w, t_o
 
 
-def peemen_traffic(candidate: PeemenCandidate, layer: LayerShape) -> int:
-    """Total bytes moved under the given innermost-loop case."""
-    return _peemen_report(candidate, layer, None).total
-
-
 def _peemen_report(candidate: PeemenCandidate, layer: LayerShape,
                    budget: int | None) -> TrafficReport:
     t = candidate.tiles
@@ -204,17 +199,11 @@ def peemen_results(layer: LayerShape, budgets: tuple[int, ...],
                 f"at {ours} B, above its own {report.total} B")
         return report
 
-    floor, _, _, fb = least_buffer(arrays, lambda idx, t: decode(t)[0])
-    stairs.add(t_in + t_w + t_o, sum(w[0] for _, w in arrays), floor,
+    fb = least_buffer(arrays, lambda idx, t: decode(t)[0])[3]
+    stairs.add(t_in + t_w + t_o, sum(w[0] for _, w in arrays),
                arrays[2][0][0].__getitem__, lambda ids: levels[:, ids], decode)
     return answers(layer, budgets, stairs, decode(fb)[1], case.size,
                    report_of)
-
-
-def peemen_best(layer: LayerShape, budget: int,
-                policy: TilePolicy | None = None) -> SearchResult:
-    """Best baseline candidate for one budget; see peemen_results."""
-    return peemen_results(layer, (budget,), policy)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +267,9 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
     final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
 
     def candidate(plan, r, t):
-        """(serialization, payload) of row r of the plan's _cache_tables on
-        tile t; the payload carries the plan and row for report_of."""
+        """(serialization, payload) of localizing the plan's r + 1
+        innermost positions on tile t; the payload carries the plan and r
+        for report_of."""
         tile = tuple(int(v[t]) for v in tiles)
         levels = (int(compact[r, t]),) * 3
         return (format_schedule(plan.ordering, tile, levels),
@@ -302,7 +292,7 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
             s, t = divmod(flat, n_t)
             return candidate(reps[s], r, t)
 
-        stairs.add(tot.reshape(-1), ws.reshape(-1), int(ws.min()),
+        stairs.add(tot.reshape(-1), ws.reshape(-1),
                    t_acc.reshape(-1).__getitem__, levels_of, decode)
 
     plan, r = min(((p, r) for p in plans for r in range(10)),
@@ -315,7 +305,8 @@ def cache_results(layer: LayerShape, budgets: tuple[int, ...],
         one = tuple(np.asarray([v], dtype=np.int64) for v in tile)
         own = prefix_tables(layer, layer_extents(layer, one), (plan,))
         t_in, t_w, t_acc, b_in, b_w, b_o = (
-            int(part[r, 0]) for part in _cache_tables(plan, layer, own))
+            int(part[0, 0])
+            for part in _cache_sets(layer, own, plan.pre[r + 1:r + 2]))
         return TrafficReport(
             t_in=t_in, t_w=t_w, t_o_acc=t_acc, t_o_final=final,
             total=t_in + t_w + t_acc + final, b_in=b_in, b_w=b_w, b_o=b_o,
@@ -350,15 +341,3 @@ def _cache_sets(layer: LayerShape, tabs, ids: np.ndarray
                  layer.p_w * tabs.ft["W"][rows])
     return (b_in * outside, b_w * outside, t_acc,
             b_in, b_w, layer.p_acc * tabs.ft["O"][rows])
-
-
-def _cache_tables(plan, layer: LayerShape, tabs) -> tuple[np.ndarray, ...]:
-    """_cache_sets of one ordering's cuts, each (10, T): row k - 1
-    localizes the k innermost of its ten uniform positions."""
-    return _cache_sets(layer, tabs, plan.pre[1:])
-
-
-def cache_best(layer: LayerShape, budget: int,
-               policy: TilePolicy | None = None) -> SearchResult:
-    """Best cache-model schedule for one budget; see cache_results."""
-    return cache_results(layer, (budget,), policy)[0]

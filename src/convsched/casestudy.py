@@ -4,24 +4,26 @@ Both nests pin the loop ordering and the buffering levels of a concrete
 accelerator, so only tile sizes remain to choose: the HWC picks its map,
 channel and row tiles by the search engine run on that one plan under the
 buffer budget (the column tile is the SIMD width), while the HWCE derives
-its stripe width from a line-buffer sizing rule.  The ratio between the
-two measures what cross-map reuse is worth on equal storage.
+its stripe width from a line-buffer sizing rule.  hwc_results answers the
+HWC at every budget in one pass, hwce_schedule the HWCE at one budget.
+The ratio between the two (hwce_vs_hwc_ratio) measures what cross-map
+reuse is worth on equal storage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .engine import (
     SearchResult, check_budgets, evaluate, least_buffer, make_plan,
 )
-from .layers import CrossCheckError, LayerShape, LayerSuite, ValidationError
+from .layers import (
+    CrossCheckError, LayerShape, LayerSuite, ValidationError, is_int,
+)
 from .model import (
     Axis,
     BufferingAssignment,
-    Schedule,
     Tiles,
-    TrafficReport,
     axis_full_extent,
     traffic,
 )
@@ -42,17 +44,8 @@ _HWCE_CONTROLLING = (Axis.SY, Axis.IF, Axis.OF, Axis.SX)  # innermost first
 HWCE_LEVELS = BufferingAssignment(level_i=5, level_w=5, level_o=1)
 
 
-@dataclass(frozen=True)
-class HwcConfig:
-    """Local-buffer budget in bytes and the SIMD width fixing jss."""
-
-    budget: int = 1024
-    simd: int = 16
-
-    def __post_init__(self) -> None:
-        check_budgets((self.budget,))
-        if self.simd < 1:
-            raise ValidationError(f"SIMD width must be >= 1: {self.simd}")
+# The HWC's SIMD width, which fixes its column tile.
+HWC_SIMD = 16
 
 
 # The engine's plan of the HWC body with its levels pinned.  All three are
@@ -62,61 +55,55 @@ _HWC_PLAN = replace(make_plan(HWC_BODY),
 
 
 def hwc_results(layer: LayerShape, budgets: tuple[int, ...],
-                simd: int = HwcConfig.simd) -> list[SearchResult]:
+                simd: int = HWC_SIMD) -> list[SearchResult]:
     """Cheapest tile sizes for the fixed HWC nest: the search on its one
-    plan, all budgets in one pass.  The column tile is the SIMD width
-    (clamped to the output width); the map, channel and row tiles come from
-    the default policy menus.  When nothing fits, the least (buffer,
-    traffic, spill, serialization) tile is returned with its infeasible
-    report rather than raising.
+    plan, all budgets (any order, repeats included) in one pass.  The
+    column tile is the SIMD width `simd`, an int (not a bool, as for layer
+    dimensions) of at least 1, clamped to the output width; the map,
+    channel and row tiles come from the default policy menus.  When
+    nothing fits, the least (buffer, traffic, spill, serialization) tile
+    is returned with its infeasible report rather than raising.
     """
-    HwcConfig(simd=simd)  # the width; the staircase checks the budgets
+    if not (is_int(simd) and simd >= 1):  # the staircase checks the budgets
+        raise ValidationError(
+            f"SIMD width must be an integer >= 1, got {simd!r}")
     menus = enumerate_tiles(layer, TilePolicy())
     menus[Axis.SX] = (min(simd, layer.out_w),)
     return evaluate(layer, budgets, menus, (_HWC_PLAN,), least_buffer)[0]
 
 
-def hwc_schedule(
-    layer: LayerShape, config: HwcConfig
-) -> tuple[Schedule, BufferingAssignment, TrafficReport]:
-    """The HWC tiles at one budget; see hwc_results."""
-    res = hwc_results(layer, (config.budget,), config.simd)[0]
-    return res.schedule, res.assignment, res.report
-
-
-def hwce_schedule(
-    layer: LayerShape, config: HwcConfig
-) -> tuple[Schedule | None, BufferingAssignment | None, TrafficReport | None]:
+def hwce_schedule(layer: LayerShape, budget: int) -> SearchResult | None:
     """Single-map line-buffer schedule with the widest stripe that fits.
 
     The line buffer holds k_h input rows of one stripe, weights one
     (m, c) kernel slice, and a single accumulator covers the kernel
     loops.  Stripe width is the largest whose line buffer fits beside
     the kernel slice and the accumulator; when even a one-column stripe
-    overflows the budget the result is (None, None, None).
+    overflows the budget the result is None.
     """
+    check_budgets((budget,))
     fixed = layer.p_w * layer.k_h * layer.k_w + layer.p_acc
-    win_max = (config.budget - fixed) // (layer.p_in * layer.k_h)
+    win_max = (budget - fixed) // (layer.p_in * layer.k_h)
     jss = min(layer.out_w, (win_max - layer.k_w) // layer.stride + 1)
     if jss < 1:
-        return None, None, None
+        return None
     tiles = Tiles(mss=1, css=1, iss=layer.out_h, jss=jss)
     controlling = tuple(
         a for a in _HWCE_CONTROLLING
         if tiles.for_axis(a, layer) < axis_full_extent(a, layer))
     schedule = instantiate(HWCE_BODY, tiles, layer, controlling=controlling)
-    report = traffic(schedule, HWCE_LEVELS, config.budget)
+    report = traffic(schedule, HWCE_LEVELS, budget)
     if not report.feasible:  # the sizing rule bounds every buffer term
         raise CrossCheckError(
             f"{layer.name}: the HWCE sizing rule chose stripe width {jss}, "
             f"but its buffers take {report.buffer_bytes} B of a "
-            f"{config.budget} B budget")
-    return schedule, HWCE_LEVELS, report
+            f"{budget} B budget")
+    return SearchResult(layer.name, budget, schedule, HWCE_LEVELS, report,
+                        candidates=0)
 
 
-def hwce_vs_hwc_ratio(
-    suite: LayerSuite, config: HwcConfig
-) -> tuple[tuple[str, float | None], ...]:
+def hwce_vs_hwc_ratio(suite: LayerSuite, budget: int
+                      ) -> tuple[tuple[str, float | None], ...]:
     """Per-layer HWCE/HWC total-traffic ratios at equal budget.
 
     Layers where the HWCE cannot run (or the HWC search itself is over
@@ -124,10 +111,10 @@ def hwce_vs_hwc_ratio(
     """
     rows: list[tuple[str, float | None]] = []
     for layer in suite:
-        _, _, hwc = hwc_schedule(layer, config)
-        _, _, hwce = hwce_schedule(layer, config)
+        hwc = hwc_results(layer, (budget,))[0].report
+        hwce = hwce_schedule(layer, budget)
         if hwce is None or not hwc.feasible:
             rows.append((layer.name, None))
         else:
-            rows.append((layer.name, hwce.total / hwc.total))
+            rows.append((layer.name, hwce.report.total / hwc.total))
     return tuple(rows)

@@ -32,7 +32,7 @@ from .engine import DEFAULT_BUDGETS, check_budgets
 from .layers import LayerShape, LayerSuite, ValidationError, parse_layer_suite
 from .model import ARRAYS, schedule_from_json, schedule_to_json, traffic
 from .oracle import DEFAULT_CAP, OracleCapError, validate
-from .search import MODEL_ORDER, SearchConfig, distribution, model_rows, sweep
+from .search import MODEL_ORDER, distribution, model_rows, sweep
 from .space import TILE_POLICY_MODES, TilePolicy
 from .suites import BUILTIN_SUITE_NAMES, builtin_suite, find_builtin_layer
 
@@ -217,9 +217,7 @@ def cmd_sweep(args, out) -> int:
     else:
         raise ValidationError("sweep needs --suite or --layer-file")
     models = tuple(m.strip() for m in args.model.split(","))
-    config = SearchConfig(budgets=_parse_budgets(args.budgets),
-                          tile_policy=_policy(args))
-    result = sweep(suite, config, models)
+    result = sweep(suite, _parse_budgets(args.budgets), _policy(args), models)
 
     rows = [_report_row(r.suite, r.layer, r.model, r.budget, r.report,
                         r.schedule_json) for r in result.rows]

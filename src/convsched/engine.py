@@ -340,27 +340,27 @@ class Staircase:
         at = np.searchsorted(self.budgets[order], caps, side="right") - 1
         return np.where(at >= 0, run[at], HUGE)
 
-    def add(self, total: np.ndarray, buffer: np.ndarray, floor: int,
+    def add(self, total: np.ndarray, buffer: np.ndarray,
             acc_of: Callable[[np.ndarray], np.ndarray],
             levels_of: Callable[[np.ndarray], np.ndarray],
             decode: Callable[[int], tuple[str, object]]) -> np.ndarray:
         """Merge one ordering's flat candidates; their best traffic per budget.
 
-        `floor` is the candidates' smallest buffer.  They need not be all
-        of the ordering's, only every one that fits some budget at the
-        least traffic there: at the ordering's own best, or at the best
-        over all orderings for best_schedule and the sweep's "ours", which
-        bound each ordering by the best found so far (see _survivors).
-        Their winners are exact, since every candidate that can win or tie
-        is still given; the returned best is then that of the candidates
-        given, which is the ordering's only where it can win.  `acc_of`
-        maps flat indices to spill bytes, `levels_of` to their compacted
-        (I, O, W) buffering levels, `decode` one flat index to its
-        canonical serialization and whatever the caller needs to
-        materialize it.  Returns -1 where none of them fits.
+        The candidates need not be all of the ordering's, only every one
+        that fits some budget at the least traffic there: at the
+        ordering's own best, or at the best over all orderings for
+        best_schedule and the sweep's "ours", which bound each ordering by
+        the best found so far (see _survivors).  Their winners are exact,
+        since every candidate that can win or tie is still given; the
+        returned best is then that of the candidates given, which is the
+        ordering's only where it can win.  `acc_of` maps flat indices to
+        spill bytes, `levels_of` to their compacted (I, O, W) buffering
+        levels, `decode` one flat index to its canonical serialization and
+        whatever the caller needs to materialize it.  Returns -1 where
+        none of them fits.
         """
         budgets = self.budgets
-        reach = budgets[budgets >= floor]
+        reach = budgets[budgets >= int(buffer.min())]
         if reach.size == 0:
             return np.full(budgets.size, -1, dtype=np.int64)
         # Nothing over the best traffic at the smallest budget that admits
@@ -762,9 +762,7 @@ def evaluate(layer: LayerShape, budgets: tuple[int, ...],
             *idx, c = np.unravel_index(flat, shape)
             return candidate(plan, idx, cols[c])
 
-        if shared:  # the bound may have dropped the least-buffer tiles
-            floor = _floor(kept)
-        ordering_best[oi] = stairs.add(st.reshape(-1), sb.reshape(-1), floor,
+        ordering_best[oi] = stairs.add(st.reshape(-1), sb.reshape(-1),
                                        acc_of, levels_of, decode)
 
     fallback = None  # (traffic, payload) of the least-buffer candidate

@@ -422,10 +422,6 @@ def schedule_to_json(schedule: Schedule, assignment: BufferingAssignment) -> str
         None if actual == default_controlling(actual) else actual)
 
 
-def schedule_to_dict(schedule: Schedule, assignment: BufferingAssignment) -> dict:
-    return json.loads(schedule_to_json(schedule, assignment))
-
-
 def _parse_axis(name) -> Axis:
     try:
         return Axis[name]

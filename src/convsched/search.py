@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .baselines import cache_results, peemen_results
-from .casestudy import HwcConfig, hwc_results, hwce_schedule
+from .casestudy import hwc_results, hwce_schedule
 from .engine import (
     DEFAULT_BUDGETS, SearchResult, check_budgets, evaluate,
     precompute_requirements,
@@ -23,17 +23,6 @@ from .engine import (
 from .layers import LayerShape, LayerSuite, ValidationError
 from .model import TrafficReport, ideal_report, schedule_to_json
 from .space import Ordering, TilePolicy, enumerate_tiles
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    budgets: tuple[int, ...] = DEFAULT_BUDGETS
-    tile_policy: TilePolicy = field(default_factory=TilePolicy)
-
-    def __post_init__(self) -> None:
-        if not self.budgets or list(self.budgets) != sorted(set(self.budgets)):
-            raise ValidationError("budgets must be ascending, unique, and non-empty")
-        check_budgets(self.budgets)
 
 
 @dataclass
@@ -111,12 +100,6 @@ def _parallel_map(fn, tasks: list[tuple]) -> list:
         return list(pool.map(fn, *zip(*tasks)))
 
 
-def evaluate_layers(layers, budgets, policy: TilePolicy | None = None
-                    ) -> list[LayerEvaluation]:
-    tasks = [(layer, tuple(budgets), policy) for layer in layers]
-    return _parallel_map(evaluate_layer, tasks)
-
-
 @dataclass(frozen=True)
 class SweepRow:
     suite: str
@@ -158,13 +141,7 @@ def _hwce(layer: LayerShape, budgets: tuple[int, ...], policy):
     """The HWCE's result per budget, None where even its narrowest line
     buffer does not fit; its sizing rule picks the stripe, so no policy
     applies."""
-    out = []
-    for budget in budgets:
-        schedule, assignment, report = hwce_schedule(
-            layer, HwcConfig(budget=budget))
-        out.append(None if schedule is None else SearchResult(
-            layer.name, budget, schedule, assignment, report, candidates=0))
-    return out
+    return [hwce_schedule(layer, budget) for budget in budgets]
 
 
 # Per model, fn(layer, budgets, policy) -> per budget its SearchResult, or
@@ -187,22 +164,28 @@ def model_rows(layer: LayerShape, model: str, budgets: tuple[int, ...],
             for r in _MODELS[model](layer, budgets, policy)]
 
 
-def sweep(suite: LayerSuite, config: SearchConfig | None = None,
+def sweep(suite: LayerSuite, budgets: tuple[int, ...] = DEFAULT_BUDGETS,
+          policy: TilePolicy | None = None,
           models: tuple[str, ...] = ("ours", "peemen", "cache")) -> SweepResult:
     """Per-layer results and per-suite aggregate totals for several models.
 
+    Each model answers through its results function in _MODELS, all the
+    budgets of a layer in one call, under the tile policy (the default
+    policy when None).  The budgets must pass the one budget rule
+    (check_budgets) and then be ascending, unique and non-empty.
     "ideal" rows (the full-reuse floor, budget-independent) are always
     included.  Aggregates sum traffic over the suite's layers; the peemen
     aggregate carries its percentage overhead against ours when both ran.
     """
-    config = config or SearchConfig()
+    check_budgets(budgets)
+    if not budgets or list(budgets) != sorted(set(budgets)):
+        raise ValidationError("budgets must be ascending, unique, and non-empty")
     for m in models:
         if m not in MODEL_ORDER:
             raise ValidationError(f"unknown model {m!r}")
     run_models = [m for m in MODEL_ORDER if m in models and m != "ideal"]
-    budgets = config.budgets
 
-    tasks = [(layer, model, budgets, config.tile_policy)
+    tasks = [(layer, model, budgets, policy)
              for layer in suite for model in run_models]
     outcomes = _parallel_map(model_rows, tasks)
     by_key = {}
@@ -314,5 +297,5 @@ def distribution_from(evaluations: list[LayerEvaluation]) -> DistributionTable:
 
 def distribution(layers, budgets, policy: TilePolicy | None = None
                  ) -> DistributionTable:
-    evals = evaluate_layers(layers, tuple(budgets), policy)
-    return distribution_from(evals)
+    tasks = [(layer, tuple(budgets), policy) for layer in layers]
+    return distribution_from(_parallel_map(evaluate_layer, tasks))

@@ -21,11 +21,9 @@ from convsched import (
     TilePolicy,
     Tiles,
     ValidationError,
-    cache_best,
     cache_results,
     evaluate_layer,
     ideal_traffic,
-    peemen_best,
     schedule_to_json,
 )
 from convsched import baselines
@@ -38,7 +36,6 @@ from convsched.baselines import (
     _peemen_report,
     peemen_buffer,
     peemen_results,
-    peemen_traffic,
 )
 from convsched.cli import main
 from convsched.model import window_extent
@@ -67,7 +64,7 @@ def test_peemen_buffer_degenerate_and_untiled():
 def test_peemen_untiled_case_reaches_ideal():
     tiny = make_tiny()
     cand = PeemenCandidate("TOF", Tiles(4, 2, 6, 6))
-    assert peemen_traffic(cand, tiny) == ideal_traffic(tiny) == 344
+    assert _peemen_report(cand, tiny, None).total == ideal_traffic(tiny) == 344
 
 
 def test_peemen_row_case_hand_evaluation():
@@ -79,7 +76,7 @@ def test_peemen_row_case_hand_evaluation():
     #            write per visit, 4 x mss*E_h*jss = 4 x 36 = 144
     tiny = make_tiny()
     cand = PeemenCandidate("TSY", Tiles(mss=2, css=2, iss=3, jss=3))
-    assert peemen_traffic(cand, tiny) == 320 + 144 + 144 == 608
+    assert _peemen_report(cand, tiny, None).total == 320 + 144 + 144 == 608
 
 
 def test_peemen_channel_case_completes_accumulation_with_full_css():
@@ -93,9 +90,10 @@ def test_peemen_channel_case_completes_accumulation_with_full_css():
     #   inputs:  8 x 2*25 = 400
     #   weights: 8 x 36   = 288
     #   outputs: one final write per element = 144
-    assert peemen_traffic(ref, tiny) == 400 + 288 + 144
+    assert _peemen_report(ref, tiny, None).total == 400 + 288 + 144
     # The halved-css TOF case must spill: strictly more O traffic.
-    assert peemen_traffic(spill, tiny) > peemen_traffic(ref, tiny)
+    assert (_peemen_report(spill, tiny, None).total
+            > _peemen_report(ref, tiny, None).total)
 
 
 def test_peemen_case_validation():
@@ -106,19 +104,19 @@ def test_peemen_case_validation():
 
 def test_peemen_best_large_budget_is_ideal():
     tiny = make_tiny()
-    res = peemen_best(tiny, 4096)
+    res = peemen_results(tiny, (4096,))[0]
     assert res.report.total == 344
     assert res.feasible
 
 
 def test_peemen_best_rejects_non_positive_budget():
     with pytest.raises(ValidationError):
-        peemen_best(make_tiny(), 0)
+        peemen_results(make_tiny(), (0,))
 
 
 def test_cache_best_large_budget_is_ideal():
     tiny = make_tiny()
-    res = cache_best(tiny, 4096)
+    res = cache_results(tiny, (4096,))[0]
     assert res.report.total == 344
     assert res.feasible
 
@@ -144,8 +142,8 @@ def test_dominance_chain_on_tiny():
     budgets = (64, 128, 256, 512, 1024)
     ours = [r.report.total
             for r in evaluate_layer(tiny, budgets).results]
-    peemen = [peemen_best(tiny, b).report.total for b in budgets]
-    cache = [cache_best(tiny, b).report.total for b in budgets]
+    peemen = [peemen_results(tiny, (b,))[0].report.total for b in budgets]
+    cache = [cache_results(tiny, (b,))[0].report.total for b in budgets]
     assert ours == [600, 344, 344, 344, 344]
     assert peemen == [1728, 864, 528, 344, 344]
     assert cache == [3168, 1368, 744, 472, 344]
@@ -157,8 +155,8 @@ def test_baseline_totals_never_beat_ideal():
     tiny = make_tiny()
     ideal = ideal_traffic(tiny)
     for budget in (32, 64, 128, 1024):
-        assert peemen_best(tiny, budget).report.total >= ideal
-        assert cache_best(tiny, budget).report.total >= ideal
+        assert peemen_results(tiny, (budget,))[0].report.total >= ideal
+        assert cache_results(tiny, (budget,))[0].report.total >= ideal
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +333,6 @@ def test_peemen_results_match_the_per_case_loop():
             results = peemen_results(layer, tuple(budgets), policy)
             for budget, res in zip(budgets, results):
                 want = _scalar_peemen(layer, budget, policy)
-                assert res == peemen_best(layer, budget, policy)
                 assert res.report == want.report, (layer, policy, budget)
                 assert res.candidates == want.candidates
                 assert (schedule_to_json(res.schedule, res.assignment)
@@ -353,7 +350,7 @@ def test_peemen_winner_is_cross_checked_exactly(monkeypatch):
 
     monkeypatch.setattr(baselines, "_peemen_report", one_byte_more)
     with pytest.raises(CrossCheckError):
-        peemen_best(make_tiny(), 4096)
+        peemen_results(make_tiny(), (4096,))
 
 
 def test_peemen_refuses_int64_overflow(tmp_path, monkeypatch, capsys):
@@ -362,7 +359,7 @@ def test_peemen_refuses_int64_overflow(tmp_path, monkeypatch, capsys):
     huge = LayerShape(name="huge", out_h=2 ** 14, out_w=2 ** 14, k_h=11,
                       k_w=11, stride=1, c_in=2 ** 14, c_out=2 ** 14)
     with pytest.raises(ValidationError, match="64-bit"):
-        peemen_best(huge, 2 ** 20)
+        peemen_results(huge, (2 ** 20,))
     monkeypatch.setenv("CONVSCHED_THREADS", "1")
     path = tmp_path / "huge.json"
     path.write_text(LayerSuite("huge", (huge,)).to_json())

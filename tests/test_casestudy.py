@@ -13,14 +13,12 @@ import pytest
 from convsched import (
     Axis,
     BufferingAssignment,
-    HwcConfig,
     LayerShape,
     LayerSuite,
     TilePolicy,
     Tiles,
     ValidationError,
     find_builtin_layer,
-    hwc_schedule,
     hwce_schedule,
     hwce_vs_hwc_ratio,
     ideal_traffic,
@@ -36,26 +34,29 @@ from conftest import make_tiny
 
 
 def test_hwc_config_validation():
-    with pytest.raises(ValidationError):
-        HwcConfig(budget=0)
-    with pytest.raises(ValidationError):
-        HwcConfig(simd=0)
-    cfg = HwcConfig()
-    assert (cfg.budget, cfg.simd) == (1024, 16)
+    # The SIMD width's rule: an int (not a bool, as for layer dimensions)
+    # of at least 1.  True once ran as width 1, 2.5 as width 2, and "16"
+    # ended in a TypeError.
+    layer = find_builtin_layer("ZFNet-6")
+    for simd in (0, True, 2.5, "16"):
+        with pytest.raises(ValidationError) as refused:
+            hwc_results(layer, (4096,), simd)
+        assert str(refused.value) == (
+            f"SIMD width must be an integer >= 1, got {simd!r}")
 
 
 def test_hwc_fixed_structure():
-    sched, levels, _ = hwc_schedule(make_tiny(), HwcConfig())
-    assert sched.body_order() == HWC_BODY
-    assert levels == HWC_LEVELS == BufferingAssignment(4, 2, 5)
+    res = hwc_results(make_tiny(), (1024,))[0]
+    assert res.schedule.body_order() == HWC_BODY
+    assert res.assignment == HWC_LEVELS == BufferingAssignment(4, 2, 5)
 
 
 def test_hwc_column_tile_clamps_to_simd_width():
-    sched, _, _ = hwc_schedule(make_tiny(), HwcConfig())
+    sched = hwc_results(make_tiny(), (1024,))[0].schedule
     assert sched.tiles.jss == 6  # min(16, out_w)
     wide = LayerShape(name="wide", out_h=4, out_w=40, k_h=3, k_w=3,
                       stride=1, c_in=2, c_out=4)
-    sched, _, _ = hwc_schedule(wide, HwcConfig())
+    sched = hwc_results(wide, (1024,))[0].schedule
     assert sched.tiles.jss == 16
 
 
@@ -64,7 +65,8 @@ def test_hwc_with_room_buys_full_input_reuse_and_local_accumulation():
     # and no partials spill.  Weights still re-stream once per output row
     # block; their buffering level is part of the design, not searched.
     tiny = make_tiny()
-    sched, levels, rep = hwc_schedule(tiny, HwcConfig(budget=4096))
+    res = hwc_results(tiny, (4096,))[0]
+    sched, levels, rep = res.schedule, res.assignment, res.report
     assert rep.feasible
     assert (rep.t_in, rep.t_w, rep.t_o_acc, rep.t_o_final) == (128, 432, 0, 144)
     assert rep.total == 704
@@ -75,7 +77,8 @@ def test_hwc_alexnet2_frozen_result():
     # Regression pin at the 1 kB design point: full-channel tiles, one
     # row in flight, 16-wide columns, all accumulation completed locally.
     layer = find_builtin_layer("AlexNet-2")
-    sched, _, rep = hwc_schedule(layer, HwcConfig())
+    res = hwc_results(layer, (1024,))[0]
+    sched, rep = res.schedule, res.report
     assert rep.feasible
     assert (sched.tiles.mss, sched.tiles.css,
             sched.tiles.iss, sched.tiles.jss) == (8, 96, 1, 16)
@@ -86,7 +89,8 @@ def test_hwc_alexnet2_frozen_result():
 
 def test_hwc_infeasible_budget_returns_smallest_buffer():
     layer = find_builtin_layer("AlexNet-2")
-    sched, _, rep = hwc_schedule(layer, HwcConfig(budget=16))
+    res = hwc_results(layer, (16,))[0]
+    sched, rep = res.schedule, res.report
     assert not rep.feasible
     assert sched is not None
     assert rep.buffer_bytes > 16
@@ -95,19 +99,19 @@ def test_hwc_infeasible_budget_returns_smallest_buffer():
 # ---------------------------------------------------------------------------
 # The engine's HWC tile search against a scalar loop over every tile.
 
-def _scalar_hwc(layer, config):
+def _scalar_hwc(layer, budget, simd):
     """Every tile of the fixed HWC nest instantiated, priced and serialized
     by the scalar model; the least (total, buffer, spill, serialization)
     that fits, else the least (buffer, total, spill, serialization)."""
     menus = enumerate_tiles(layer, TilePolicy())
-    jss = min(config.simd, layer.out_w)
+    jss = min(simd, layer.out_w)
     best = None
     fallback = None
     for mss, css, iss in itertools.product(
             menus[Axis.OF], menus[Axis.IF], menus[Axis.SY]):
         tiles = Tiles(mss=mss, css=css, iss=iss, jss=jss)
         schedule = instantiate(HWC_BODY, tiles, layer)
-        report = traffic(schedule, HWC_LEVELS, config.budget)
+        report = traffic(schedule, HWC_LEVELS, budget)
         serial = schedule_to_json(schedule, HWC_LEVELS)
         fb_key = (report.buffer_bytes, report.total, report.t_o_acc, serial)
         if fallback is None or fb_key < fallback[0]:
@@ -162,10 +166,8 @@ def test_hwc_search_matches_the_scalar_tile_loop():
             rng.shuffle(budgets)
             results = hwc_results(layer, tuple(budgets), simd)
             for budget, res in zip(budgets, results):
-                config = HwcConfig(budget=budget, simd=simd)
-                want_sched, want_levels, want = _scalar_hwc(layer, config)
-                got = (res.schedule, res.assignment, res.report)
-                assert got == hwc_schedule(layer, config)
+                want_sched, want_levels, want = _scalar_hwc(
+                    layer, budget, simd)
                 assert res.report == want, (layer, simd, budget)
                 assert (schedule_to_json(res.schedule, res.assignment)
                         == schedule_to_json(want_sched, want_levels))
@@ -199,22 +201,23 @@ def test_hwce_stripe_rule_alexnet1():
     # 1024 B line budget: 11x11 weights + one 4-byte accumulator leave
     # (1024-125)//11 = 81 pixels per row, so strides fit 18 columns.
     layer = find_builtin_layer("AlexNet-1")
-    sched, levels, rep = hwce_schedule(layer, HwcConfig())
-    assert sched.tiles.jss == 18
-    assert levels == HWCE_LEVELS
-    assert rep.feasible
+    res = hwce_schedule(layer, 1024)
+    assert res.schedule.tiles.jss == 18
+    assert res.assignment == HWCE_LEVELS
+    assert res.feasible
 
 
 def test_hwce_infeasible_when_line_buffer_cannot_fit():
     layer = LayerShape(name="bigk", out_h=8, out_w=8, k_h=11, k_w=11,
                        stride=1, c_in=4, c_out=4)
-    assert hwce_schedule(layer, HwcConfig(budget=128)) == (None, None, None)
+    assert hwce_schedule(layer, 128) is None
 
 
 def test_hwce_matches_oracle_on_tiny():
     tiny = make_tiny()
-    sched, levels, rep = hwce_schedule(tiny, HwcConfig())
-    stats = simulate(sched, levels)
+    res = hwce_schedule(tiny, 1024)
+    rep = res.report
+    stats = simulate(res.schedule, res.assignment)
     assert rep.total == stats.bytes_total
     # Single-map processing parks every partial sum between channel passes.
     assert stats.writes_o_partial > 0
@@ -225,7 +228,7 @@ def test_ratio_table_marks_infeasible_as_none():
     bigk = LayerShape(name="bigk", out_h=8, out_w=8, k_h=11, k_w=11,
                       stride=1, c_in=4, c_out=4)
     suite = LayerSuite("desk", (make_tiny(), bigk))
-    rows = hwce_vs_hwc_ratio(suite, HwcConfig(budget=128))
+    rows = hwce_vs_hwc_ratio(suite, 128)
     assert dict(rows)["bigk"] is None
 
 
@@ -240,10 +243,10 @@ def test_ratio_grows_with_cross_map_traffic():
     single = LayerShape(name="single", out_h=8, out_w=8, k_h=3, k_w=3,
                         stride=1, c_in=1, c_out=1)
     suite = LayerSuite("desk", (tiny, single))
-    rows = dict(hwce_vs_hwc_ratio(suite, HwcConfig()))
+    rows = dict(hwce_vs_hwc_ratio(suite, 1024))
     assert rows["tiny"] == pytest.approx(1880 / 704)
     assert rows["single"] < 1
-    _, _, hwce_rep = hwce_schedule(single, HwcConfig())
+    hwce_rep = hwce_schedule(single, 1024).report
     assert hwce_rep.total == ideal_traffic(single) == 173
 
 
@@ -266,7 +269,7 @@ def test_hwce_sizing_check_raises_under_python_O():
         layer = LayerShape(name="tiny", out_h=6, out_w=6, k_h=3, k_w=3,
                            stride=1, c_in=2, c_out=4)
         try:
-            casestudy.hwce_schedule(layer, casestudy.HwcConfig(budget=1024))
+            casestudy.hwce_schedule(layer, 1024)
         except CrossCheckError as e:
             print(e)
         else:

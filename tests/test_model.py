@@ -32,7 +32,6 @@ from convsched.model import (
     buffer_size,
     footprint,
     reuse_descriptor,
-    schedule_to_dict,
     window_extent,
 )
 from conftest import CANONICAL_ORDER, make_tiny, untiled
@@ -253,7 +252,7 @@ def test_schedule_json_omits_default_controlling_order():
     tiny = make_tiny()
     from convsched import instantiate
     sched = instantiate(CANONICAL_ORDER, Tiles(2, 2, 6, 6), tiny)
-    doc = schedule_to_dict(sched, FULL_REUSE)
+    doc = json.loads(schedule_to_json(sched, FULL_REUSE))
     assert set(doc) == {"order", "tiles", "buffering"}
     assert doc["tiles"] == {"mss": 2, "css": 2, "iss": 6, "jss": 6}
 

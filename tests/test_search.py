@@ -23,24 +23,22 @@ from convsched import (
     BufferingAssignment,
     LayerShape,
     LayerSuite,
-    SearchConfig,
     TilePolicy,
     Tiles,
     ValidationError,
     best_schedule,
-    cache_best,
     cache_results,
     distribution,
     distribution_from,
     enumerate_permutations,
     evaluate_layer,
-    evaluate_layers,
     find_builtin_layer,
     ideal_report,
     ideal_traffic,
     instantiate,
     min_budget_for_ideal,
     schedule_to_json,
+    sweep,
     traffic,
 )
 from convsched import baselines, casestudy, engine, search
@@ -245,7 +243,6 @@ def test_every_model_refuses_a_non_positive_budget(monkeypatch):
     for budgets in ((0,), (-5,), (0, -5), (1024, 0)):
         for call in (evaluate_layer, baselines.peemen_results,
                      cache_results, casestudy.hwc_results,
-                     lambda l, b: evaluate_layers([l], b),
                      lambda l, b: distribution([l], b)):
             with pytest.raises(ValidationError, match="must be positive"):
                 call(tiny, budgets)
@@ -264,28 +261,37 @@ def test_one_budget_rule_refuses_non_integers_and_past_int64(budget):
                f"got {budget!r}")
     for call in (lambda: best_schedule(layer, budget),
                  lambda: evaluate_layer(layer, (budget,)),
-                 lambda: baselines.peemen_best(layer, budget),
-                 lambda: cache_best(layer, budget),
+                 lambda: baselines.peemen_results(layer, (budget,)),
+                 lambda: cache_results(layer, (budget,)),
                  lambda: casestudy.hwc_results(layer, (budget,)),
-                 lambda: casestudy.hwc_schedule(
-                     layer, casestudy.HwcConfig(budget=budget)),
-                 lambda: casestudy.hwce_schedule(
-                     layer, casestudy.HwcConfig(budget=budget)),
-                 lambda: SearchConfig(budgets=(budget,))):
+                 lambda: casestudy.hwce_schedule(layer, budget),
+                 lambda: sweep(LayerSuite("one", (layer,)), (budget,))):
         with pytest.raises(ValidationError) as refused:
             call()
         assert str(refused.value) == message
 
 
 def test_search_config_validation():
+    suite = LayerSuite("one", (make_tiny(),))
     with pytest.raises(ValidationError):
-        SearchConfig(budgets=(1024, 512))
+        sweep(suite, (1024, 512))
     with pytest.raises(ValidationError):
-        SearchConfig(budgets=(512, 512))
+        sweep(suite, (512, 512))
     with pytest.raises(ValidationError):
-        SearchConfig(budgets=())
+        sweep(suite, ())
     with pytest.raises(ValidationError):
-        SearchConfig(budgets=(0, 512))
+        sweep(suite, (0, 512))
+
+
+@pytest.mark.parametrize("bad", ["2048", True])
+def test_sweep_checks_the_budget_rule_before_the_order(bad):
+    # A string once ended in a TypeError from the order check's sort, and
+    # True got "must be ascending" instead of the budget rule's message.
+    with pytest.raises(ValidationError) as refused:
+        sweep(LayerSuite("one", (make_tiny(),)), (1024, bad))
+    assert str(refused.value) == (
+        f"budget must be positive and fit in 64 bits as an integer, "
+        f"got {bad!r}")
 
 
 def test_worker_count_env_override(monkeypatch):
@@ -308,7 +314,8 @@ def test_results_independent_of_worker_count(monkeypatch):
     budgets = (256, 1024)
 
     def snapshot():
-        evs = evaluate_layers([tiny, other], budgets)
+        evs = search._parallel_map(evaluate_layer, [(tiny, budgets, None),
+                                                    (other, budgets, None)])
         return [(r.report, schedule_to_json(r.schedule, r.assignment))
                 for ev in evs for r in ev.results]
 
@@ -355,7 +362,8 @@ def test_one_multi_budget_call_matches_single_calls_at_step_edges():
     budgets = _step_edges(cache_results(layer, dense, policy))
     multi = cache_results(layer, budgets, policy)
     for res, budget in zip(multi, budgets):
-        assert _outcome(res) == _outcome(cache_best(layer, budget, policy))
+        assert _outcome(res) == _outcome(
+            cache_results(layer, (budget,), policy)[0])
 
 
 def test_budget_order_and_repeats_do_not_change_answers():
@@ -372,6 +380,27 @@ def test_budget_order_and_repeats_do_not_change_answers():
         assert _outcome(ev.results[bidx]) == _outcome(ref.results[r])
         assert (ev.ordering_best[:, bidx] == ref.ordering_best[:, r]).all()
         assert _outcome(got_cache[bidx]) == _outcome(ref_cache[r])
+
+
+def test_model_table_answers_each_budget_as_alone():
+    # Every sweep model's table, asked for all budgets in one call,
+    # unsorted and with repeats, gives row for row what it gives each
+    # budget alone: below every buffer, just under and at the HWCE's
+    # one-column line buffer, in between and past everything.
+    for layer in (*_desk_layers(seed=4), _DESK_1X1):
+        line = (layer.p_w * layer.k_h * layer.k_w + layer.p_acc
+                + layer.p_in * layer.k_h * layer.k_w)
+        budgets = (2 ** 20, line - 1, 1, 48, line, 160, 48, 1)
+        for policy in (None, TilePolicy("pow2-extents")):
+            for model in search._MODELS:
+                alone = [search.model_rows(layer, model, (b,), policy)[0]
+                         for b in budgets]
+                assert search.model_rows(layer, model, budgets,
+                                         policy) == alone, (layer, model)
+            assert search.model_rows(layer, "hwce", (line - 1,),
+                                     policy) == [(None, None, 0)]
+            assert search.model_rows(layer, "hwce", (line,),
+                                     policy)[0][0].feasible
 
 
 def test_distribution_from_rejects_mismatched_budgets():
@@ -549,8 +578,8 @@ def _brute_force_cache(layer, budgets, policy):
     final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
     candidates = []
     for plan in plans:
-        t_in, t_w, acc, b_in, b_w, b_o = baselines._cache_tables(
-            plan, layer, tabs)
+        t_in, t_w, acc, b_in, b_w, b_o = baselines._cache_sets(
+            layer, tabs, plan.pre[1:])
         tot, ws = t_in + t_w + acc + final, b_in + b_w + b_o
         candidates.append((tot.reshape(-1), ws.reshape(-1), acc.reshape(-1)))
 
@@ -760,7 +789,8 @@ def _reference_byte_tables(plan, layer, ref):
 
 
 def _reference_cache_tables(layer, ref):
-    """baselines._cache_tables of one ordering from its _reference_tables."""
+    """baselines._cache_sets of one ordering's ten cuts, from its
+    _reference_tables."""
     _, suffix, ft, masks = ref
     final = layer.p_out * layer.c_out * layer.out_h * layer.out_w
     visits = ft["O"][1:] * suffix
@@ -803,7 +833,7 @@ def test_prefix_tables_match_the_per_ordering_reference():
                         _same(tr, ref_tr)
                         _same(bf, ref_bf)
                     for part, ref_part in zip(
-                            baselines._cache_tables(plan, layer, tabs),
+                            baselines._cache_sets(layer, tabs, plan.pre[1:]),
                             _reference_cache_tables(layer, ref)):
                         _same(part, ref_part)
     assert len({i for plans in plan_sets[:2] for p in plans
